@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "rom/rom_solver.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard.hpp"
 #include "util/cli.hpp"
@@ -185,19 +184,6 @@ void write_report(std::ostream& os,
        << '}';
   }
   os << "}},\n";
-  // Process-wide ROM counters -- all zero unless UPDEC_ROM=1 routed jobs
-  // through the reduced-order tier. reduced/(reduced+escalated) is the
-  // fraction of PDE solves answered without touching the full operator.
-  const rom::RomTotals rom_totals = rom::process_totals();
-  const std::uint64_t rom_solves = rom_totals.reduced + rom_totals.escalated;
-  os << "  \"rom\": {\"reduced\": " << rom_totals.reduced
-     << ", \"escalated\": " << rom_totals.escalated
-     << ", \"rebuilds\": " << rom_totals.rebuilds << ", \"reduced_fraction\": "
-     << (rom_solves > 0
-             ? static_cast<double>(rom_totals.reduced) /
-                   static_cast<double>(rom_solves)
-             : 0.0)
-     << "},\n";
   os << "  \"jobs\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const auto& r = reports[i];

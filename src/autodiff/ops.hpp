@@ -66,10 +66,8 @@ VarVec gemv(const la::Matrix& a, const VarVec& x);
 /// VJP: b_bar += A^{-T} x_bar (one transpose solve).
 VarVec solve(const la::LuFactorization& lu, const VarVec& b);
 
-/// x = A^{-1} b through the sparse-first chain (constant operator).
-/// VJP: b_bar += A^{-T} x_bar, one solve_transpose through the same chain
-/// (ILU-GMRES on A^T at large N, the shared dense factors below the
-/// threshold).
+/// x = A^{-1} b through the operator's band LU (constant operator).
+/// VJP: b_bar += A^{-T} x_bar, one solve_transpose on the same factors.
 VarVec solve(const la::SparseFirstSolver& op, const VarVec& b);
 
 // ---- linear solve with a differentiable matrix ----

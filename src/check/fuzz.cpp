@@ -153,14 +153,12 @@ const std::vector<PinnedCase>& pinned_cases() {
       {"ad_vs_fd_ops", 0x7c9e1f3a5b8d2046ull, 24,
        "stress pin: largest tape-op pipeline the Debug budget allows"},
       {"solver_equivalence", 0x3f6b9d12a4c8e075ull, 96,
-       "stress pin: widest Krylov-vs-LU system in the default size range"},
+       "stress pin: widest band-vs-dense LU system in the default size "
+       "range (pinned when the solver was a Krylov chain)"},
       {"batched_vs_looped", 0x58d0c2b7e91f6a34ull, 64,
        "stress pin: full-width multi-RHS sweep vs looped solves"},
       {"factorization_consistency", 0x21aa7e44c3d95b80ull, 64,
        "stress pin: Cholesky/QR/LU agreement at the range ceiling"},
-      {"rom_vs_full", 0x6d4a92e8f15c3b07ull, 32,
-       "stress pin: reduced-order escalate/accept ladder at a mid-range "
-       "system size plus the ROM-routed DAL loop"},
       {"sharded_vs_single", 0x4e1b83c6d90f2a57ull, 8,
        "stress pin: mixed-grid batch through 1- and 4-shard pools must "
        "replay the in-process costs bitwise"},

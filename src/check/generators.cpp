@@ -93,6 +93,26 @@ pc::PointCloud random_cloud(Rng& rng, std::size_t n_interior,
   return pc::unit_square_scattered(n_interior, n_per_side, rng.next_u64());
 }
 
+la::CsrMatrix random_rbffd_system(Rng& rng, std::size_t n_interior) {
+  const auto side = static_cast<std::size_t>(
+      std::sqrt(static_cast<double>(n_interior)) + 2.0);
+  const pc::PointCloud cloud = random_cloud(rng, n_interior, side);
+  const rbf::PolyharmonicSpline kernel(3);
+  const rbf::RbffdOperators ops(cloud, kernel,
+                                random_stencil_config(rng, cloud.size()));
+  const la::CsrMatrix& lap = ops.laplacian();
+  la::SparseBuilder system(cloud.size(), cloud.size());
+  for (std::size_t i = 0; i < cloud.size(); ++i) {
+    if (i >= cloud.num_internal()) {
+      system.add(i, i, 1.0);
+      continue;
+    }
+    for (std::size_t k = lap.row_ptr()[i]; k < lap.row_ptr()[i + 1]; ++k)
+      system.add(i, lap.col_idx()[k], lap.values()[k]);
+  }
+  return la::CsrMatrix(system);
+}
+
 std::unique_ptr<rbf::Kernel> random_kernel(Rng& rng) {
   switch (rng.uniform_index(5)) {
     case 0:

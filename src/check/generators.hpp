@@ -54,6 +54,14 @@ namespace updec::check {
 [[nodiscard]] la::CsrMatrix random_sparse_diag_dominant(
     Rng& rng, std::size_t n, std::size_t nnz_per_row = 7);
 
+/// Square RBF-FD system on a random cloud of about `n_interior` interior
+/// nodes: the PHS Laplacian stencil row (random stencil configuration) at
+/// each interior node, the identity at each boundary node. Boundary columns
+/// carry O(1/h^2) interior couplings against a unit diagonal, so direct
+/// solvers must pivot.
+[[nodiscard]] la::CsrMatrix random_rbffd_system(Rng& rng,
+                                                std::size_t n_interior);
+
 /// Scattered unit-square cloud: Halton interior nodes (jittered by the rng)
 /// plus uniformly spaced Dirichlet boundary nodes.
 [[nodiscard]] pc::PointCloud random_cloud(Rng& rng, std::size_t n_interior,

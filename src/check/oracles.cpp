@@ -15,7 +15,6 @@
 #include "control/laplace_problem.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
-#include "la/iterative.hpp"
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 #include "la/robust_solve.hpp"
@@ -24,7 +23,6 @@
 #include "rbf/rbffd.hpp"
 #include "refine/adaptive_loop.hpp"
 #include "rom/laplace_rom.hpp"
-#include "rom/rom_solver.hpp"
 #include "serve/cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard.hpp"
@@ -214,76 +212,57 @@ OracleResult dal_vs_dp_laplace(const OracleCase& c) {
   return judged(1.0 - align, 0.25, os.str());
 }
 
-// ---- dense LU vs Krylov vs robust escalation ------------------------------
+// ---- band LU vs dense LU --------------------------------------------------
 
 OracleResult solver_equivalence(const OracleCase& c) {
   Rng rng(c.seed);
   const std::size_t n = std::max<std::size_t>(c.size, 4);
-  const la::CsrMatrix a = random_sparse_diag_dominant(rng, n);
-  const la::Vector b = random_vector(rng, n);
-
-  const la::Vector x_ref = la::solve(a.to_dense(), b);
-  const double scale = la::nrm_inf(x_ref) + 1.0;
-
-  la::IterativeOptions opts;
-  opts.rel_tol = 1e-12;
-  opts.max_iterations = 20 * n + 200;
 
   double err = 0.0;
   std::string worst = "none";
-  const auto consider = [&](const char* name, const la::Vector& x) {
-    const double e = max_abs_diff(x, x_ref) / scale;
+  const auto consider = [&](const std::string& name, double e) {
     if (e > err) {
       err = e;
       worst = name;
     }
   };
-
-  consider("gmres", la::gmres(a, b, opts, la::jacobi_preconditioner(a))
-                        .require_converged("oracle gmres")
-                        .x);
-  consider("bicgstab", la::bicgstab(a, b, opts, la::jacobi_preconditioner(a))
-                           .require_converged("oracle bicgstab")
-                           .x);
-  {
-    la::RobustSolver robust(a);
-    la::Vector x;
-    robust.solve(b, x).require_converged("oracle robust_solve");
-    consider("robust_solve", x);
-  }
-  {
-    // Sparse-first solver forced onto each of its two modes: the threshold
-    // must select a *path*, never change the answer.
-    la::RobustSolveOptions forced;
-    forced.iterative = opts;
-    forced.sparse_min_n = 0;  // force CSR + ILU-Krylov
-    const la::SparseFirstSolver sparse_first(a, forced);
+  // Forward, transpose and batched band solves of `a` against dense LU of
+  // the same matrix, each error relative to the reference's magnitude.
+  const auto compare = [&](const std::string& family, const la::CsrMatrix& a) {
+    const std::size_t m = a.rows();
+    const la::LuFactorization dense(a.to_dense());
+    const la::SparseFirstSolver band(a);
     la::SolveReport report;
-    la::Vector x = sparse_first.solve(b, &report);
-    report.require_converged("oracle sparse_first (sparse)");
-    consider("sparse_first/sparse", x);
 
-    // Same sparse path with the fp32 ILU(0) closure (UPDEC_MIXED_PRECISION):
-    // preconditioner precision may change the iteration count, never the
-    // accepted answer, so it must meet the same fp64 tolerance as the rest.
-    forced.mixed_precision = true;
-    const la::SparseFirstSolver mixed_first(a, forced);
-    x = mixed_first.solve(b, &report);
-    report.require_converged("oracle sparse_first (mixed)");
-    consider("sparse_first/mixed", x);
-    forced.mixed_precision = false;
+    const la::Vector b = random_vector(rng, m);
+    const la::Vector x = band.solve(b, &report);
+    report.require_converged("oracle band solve");
+    const la::Vector x_ref = dense.solve(b);
+    consider(family + "/solve",
+             max_abs_diff(x, x_ref) / (la::nrm_inf(x_ref) + 1.0));
 
-    forced.sparse_min_n = n + 1;  // force eager dense LU
-    const la::SparseFirstSolver dense_first(a, forced);
-    x = dense_first.solve(b, &report);
-    report.require_converged("oracle sparse_first (dense)");
-    consider("sparse_first/dense", x);
-  }
+    const la::Vector xt = band.solve_transpose(b, &report);
+    report.require_converged("oracle band solve_transpose");
+    const la::Vector xt_ref = dense.solve_transpose(b);
+    consider(family + "/transpose",
+             max_abs_diff(xt, xt_ref) / (la::nrm_inf(xt_ref) + 1.0));
+
+    const la::Matrix bm = random_matrix(rng, m, 1 + rng.uniform_index(6));
+    const la::Matrix xm = band.solve_many(bm, &report);
+    report.require_converged("oracle band solve_many");
+    const la::Matrix xm_ref = dense.solve_many(bm);
+    const la::Matrix zero(xm_ref.rows(), xm_ref.cols());
+    consider(family + "/solve_many",
+             max_abs_diff(xm, xm_ref) / (max_abs_diff(xm_ref, zero) + 1.0));
+  };
+  compare("diag-dominant", random_sparse_diag_dominant(rng, n));
+  // Not diagonally dominant: the band factorisation's pivoting fires.
+  compare("rbf-fd", random_rbffd_system(rng, n));
 
   std::ostringstream os;
-  os << "GMRES/BiCGSTAB/robust_solve/sparse_first vs dense LU on "
-     << "diag-dominant sparse system (n=" << n << ", worst path " << worst
-     << " at " << err << ")";
+  os << "band LU vs dense LU, forward/transpose/batched, on diag-dominant "
+     << "and RBF-FD systems (n=" << n << ", worst path " << worst << " at "
+     << err << ")";
   return judged(err, 1e-7, os.str());
 }
 
@@ -323,26 +302,21 @@ OracleResult batched_vs_looped(const OracleCase& c) {
     consider("lu_solve_many", max_abs_diff(la::lu_solve_many(a, b), looped));
   }
 
-  // gmres_many against per-column gmres with the shared preconditioner.
+  // SparseFirstSolver::solve_many against per-column solve().
   {
-    const la::CsrMatrix sp = random_sparse_diag_dominant(rng, n);
-    la::IterativeOptions opts;
-    opts.rel_tol = 1e-12;
-    opts.max_iterations = 20 * n + 200;
-    const la::Preconditioner precond = la::jacobi_preconditioner(sp);
-    const la::BatchedIterativeResult batched =
-        la::gmres_many(sp, b, opts, precond);
-    batched.require_converged("oracle gmres_many");
+    const la::SparseFirstSolver sp(random_sparse_diag_dominant(rng, n));
+    la::SolveReport report;
+    const la::Matrix batched = sp.solve_many(b, &report);
+    report.require_converged("oracle sparse solve_many");
     la::Matrix looped(n, k);
     for (std::size_t j = 0; j < k; ++j) {
       la::Vector col(n);
       for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-      const la::Vector x = la::gmres(sp, col, opts, precond)
-                               .require_converged("oracle gmres loop")
-                               .x;
+      const la::Vector x = sp.solve(col, &report);
+      report.require_converged("oracle sparse solve loop");
       for (std::size_t i = 0; i < n; ++i) looped(i, j) = x[i];
     }
-    consider("gmres_many", max_abs_diff(batched.x, looped));
+    consider("sparse_first.solve_many", max_abs_diff(batched, looped));
   }
 
   std::ostringstream os;
@@ -532,110 +506,6 @@ OracleResult factorization_consistency(const OracleCase& c) {
   return judged(err, 1e-8, os.str());
 }
 
-// ---- reduced-order tier vs full path --------------------------------------
-
-OracleResult rom_vs_full(const OracleCase& c) {
-  Rng rng(c.seed);
-  const std::size_t n = std::max<std::size_t>(c.size, 8);
-
-  // Part A: the estimator's three regimes on a random sparse system, on the
-  // same sparse path the serve tier escalates to.
-  la::RobustSolveOptions forced;
-  forced.sparse_min_n = 0;
-  const la::CsrMatrix a = random_sparse_diag_dominant(rng, n);
-  const la::SparseFirstSolver full(a, forced);
-
-  rom::RomConfig config;
-  config.enabled = true;
-  config.tol = 1e-8;
-  config.max_k = n;
-  config.min_snapshots = std::max<std::size_t>(3, n / 4);
-  rom::SnapshotBank bank(1ull << 22);
-  rom::RomSolver solver(full, bank, c.seed ^ 0x9E3779B97F4A7C15ull, config);
-
-  // Cold: no basis exists, so every solve must escalate and be harvested.
-  std::vector<la::Vector> rhs;
-  for (std::size_t i = 0; i < config.min_snapshots; ++i) {
-    rhs.push_back(random_vector(rng, n));
-    rom::RomSolveReport rep;
-    (void)solver.solve(rhs.back(), {}, &rep);
-    if (!rep.escalated || rep.reduced)
-      return judged(1.0, 0.0, "cold ROM solve did not escalate");
-  }
-
-  // In-span: x is linear in b, so a combination of the harvested right-hand
-  // sides has its solution inside the snapshot span -- the estimator must
-  // accept it in reduced space and the answer must match the full path.
-  la::Vector inside(n, 0.0);
-  for (const la::Vector& r : rhs) la::axpy(rng.uniform(-1.0, 1.0), r, inside);
-  rom::RomSolveReport rep;
-  const la::Vector x_rom = solver.solve(inside, {}, &rep);
-  la::SolveReport full_rep;
-  const la::Vector x_full = full.solve(inside, &full_rep);
-  full_rep.require_converged("oracle rom_vs_full reference");
-  if (!rep.reduced)
-    return judged(1.0, 0.0,
-                  "in-span rhs was not answered in reduced space (estimate " +
-                      std::to_string(rep.estimate) + ")");
-  double err = max_abs_diff(x_rom, x_full) / (la::nrm_inf(x_full) + 1.0);
-
-  // Out-of-span: whichever path answers a fresh rhs, the result must agree
-  // with the full solver -- an accepted reduced answer met a 1e-8 residual.
-  const la::Vector fresh = random_vector(rng, n);
-  const la::Vector y_rom = solver.solve(fresh, {}, &rep);
-  const la::Vector y_full = full.solve(fresh, &full_rep);
-  full_rep.require_converged("oracle rom_vs_full reference (fresh)");
-  err = std::max(err, max_abs_diff(y_rom, y_full) / (la::nrm_inf(y_full) + 1.0));
-
-  const rom::RomStats stats = solver.stats();
-  if (stats.reduced + stats.escalated != config.min_snapshots + 2)
-    return judged(1.0, 0.0, "ROM solve accounting does not balance");
-  if (stats.rebuilds == 0 || stats.harvested < config.min_snapshots)
-    return judged(1.0, 0.0, "escalations were not harvested into a basis");
-
-  // Part B: the whole DAL control loop, ROM-routed vs full-path, from the
-  // same jittered start. The estimator bounds each accepted solve, so the
-  // final costs must stay within a small multiple of the ROM tolerance.
-  const rbf::PolyharmonicSpline kernel(3);
-  auto problem = std::make_shared<rom::LaplaceFdControlProblem>(8, kernel);
-  rom::RomConfig loop_config;
-  loop_config.enabled = true;
-  loop_config.tol = 1e-7;
-  loop_config.max_k = 24;
-  loop_config.min_snapshots = 4;
-  rom::SnapshotBank loop_bank(1ull << 24);
-  auto loop_rom = std::make_shared<rom::RomSolver>(
-      problem->solver().op(), loop_bank, 1, loop_config);
-
-  la::Vector control = problem->initial_control();
-  for (std::size_t i = 0; i < control.size(); ++i)
-    control[i] += rng.normal(0.0, 0.1);
-
-  control::DriverOptions options;
-  options.iterations = 10;
-  options.initial_learning_rate = 1e-2;
-  const auto full_strategy = rom::make_laplace_fd_dal(problem);
-  const auto rom_strategy = rom::make_laplace_rom_dal(problem, loop_rom);
-  const control::DriverResult full_run =
-      control::optimize_from(control, *full_strategy, options);
-  const control::DriverResult rom_run =
-      control::optimize_from(control, *rom_strategy, options);
-
-  const rom::RomStats loop_stats = loop_rom->stats();
-  if (loop_stats.escalated < loop_config.min_snapshots)
-    return judged(1.0, 0.0, "ROM control loop never exercised escalation");
-  if (loop_stats.reduced == 0)
-    return judged(1.0, 0.0, "ROM control loop never used the reduced space");
-  err = std::max(err, rel_diff(rom_run.final_cost, full_run.final_cost));
-
-  std::ostringstream os;
-  os << "RomSolver vs full sparse path (n=" << n << ", loop "
-     << loop_stats.reduced << " reduced / " << loop_stats.escalated
-     << " escalated, J_rom=" << rom_run.final_cost
-     << " vs J_full=" << full_run.final_cost << ", worst " << err << ")";
-  return judged(err, 1e-4, os.str());
-}
-
 // ---- adjoint-adaptive refinement vs uniform --------------------------------
 
 /// The analytic minimiser sampled at a problem's control DOFs: at this
@@ -770,10 +640,10 @@ const std::vector<Oracle>& all_oracles() {
        "DAL adjoint gradient vs DP gradient on the Laplace problem", 16, 28,
        &dal_vs_dp_laplace},
       {"solver_equivalence",
-       "dense LU vs GMRES vs BiCGSTAB vs robust_solve escalation", 8, 96,
+       "band LU vs dense LU: forward, transpose and batched solves", 8, 96,
        &solver_equivalence},
       {"batched_vs_looped",
-       "solve_many / lu_solve_many / gmres_many vs looped single solves", 4,
+       "dense and band solve_many / lu_solve_many vs looped single solves", 4,
        64, &batched_vs_looped},
       {"cached_vs_cold",
        "warm OperatorCache hits vs cold assembly + factorisation", 4, 9,
@@ -784,9 +654,6 @@ const std::vector<Oracle>& all_oracles() {
       {"factorization_consistency",
        "Cholesky and QR vs LU on random SPD systems", 2, 64,
        &factorization_consistency},
-      {"rom_vs_full",
-       "POD/Galerkin reduced solves vs the full sparse path", 8, 48,
-       &rom_vs_full},
       {"refinement_vs_uniform",
        "adjoint-adapted point clouds vs uniform grids at matched node count",
        12, 14, &refinement_vs_uniform},

@@ -6,8 +6,7 @@
 /// from a (seed, size) pair and cross-checks two or more code paths that
 /// must agree: reverse-mode AD against central finite differences, the DAL
 /// adjoint gradient against the DP gradient (the paper's central
-/// consistency claim), dense LU against the Krylov solvers and the
-/// robust-solve escalation chain, batched multi-RHS sweeps against looped
+/// consistency claim), the sparse band LU against dense LU, batched multi-RHS sweeps against looped
 /// single solves, warm operator-cache hits against cold computes, and
 /// OpenMP runs against single-threaded runs.
 ///
@@ -80,12 +79,14 @@ OracleResult ad_vs_fd_laplace(const OracleCase& c);
 /// size = grid resolution.
 OracleResult dal_vs_dp_laplace(const OracleCase& c);
 
-/// Dense LU vs GMRES vs BiCGSTAB vs the RobustSolver escalation chain on a
-/// random sparse diagonally dominant system. size = matrix dimension.
+/// The band LU behind SparseFirstSolver against dense LU of the same matrix:
+/// forward, transpose and batched solves, on a random sparse diagonally
+/// dominant system and on a random RBF-FD system (not diagonally dominant,
+/// so pivoting fires). size = matrix dimension / interior node count.
 OracleResult solver_equivalence(const OracleCase& c);
 
-/// LuFactorization::solve_many / lu_solve_many / gmres_many against looped
-/// single solves on the same systems. size = matrix dimension.
+/// LuFactorization::solve_many / lu_solve_many / SparseFirstSolver::solve_many
+/// against looped single solves on the same systems. size = matrix dimension.
 OracleResult batched_vs_looped(const OracleCase& c);
 
 /// Warm OperatorCache hits (memoized collocation LU, memoized RBF-FD
@@ -104,17 +105,6 @@ OracleResult threaded_vs_serial(const OracleCase& c);
 /// Cholesky and Householder QR against LU on random SPD systems, plus the
 /// L L^T round trip and log-determinant agreement. size = matrix dimension.
 OracleResult factorization_consistency(const OracleCase& c);
-
-/// The reduced-order tier against the full sparse path. Part A drives a
-/// RomSolver on a random sparse diagonally dominant system through its
-/// three regimes: cold solves must escalate (and be harvested), an
-/// in-snapshot-span right-hand side must be answered in reduced space and
-/// match the full solution, and solve accounting must balance (every solve
-/// is either reduced or escalated, never silently dropped). Part B runs the
-/// Laplace DAL control loop with all PDE solves routed through a RomSolver
-/// and checks the final cost against the full-path DAL loop from the same
-/// start. size = matrix dimension for part A.
-OracleResult rom_vs_full(const OracleCase& c);
 
 /// The sharded multi-process serving tier against a plain in-process run.
 /// A random scenario batch (mixed grid families, seeds and iteration

@@ -132,8 +132,8 @@ class ChannelDalStrategy final : public GradientStrategy {
         solver.config().dt / solver.config().reynolds;
     // Adjoint momentum operator: same interior rows as the forward one,
     // identity on every boundary row (the adjoint outlet BC is Dirichlet).
-    // Assembled sparse from the shared consistent Laplacian; the
-    // sparse-first solver picks dense LU or ILU-Krylov by size.
+    // Assembled sparse from the shared consistent Laplacian and factored
+    // once as a band LU.
     la::SparseBuilder momentum(n, n);
     const la::CsrMatrix& lap = solver.interior_laplacian();
     for (std::size_t i = 0; i < n; ++i) {
@@ -142,8 +142,7 @@ class ChannelDalStrategy final : public GradientStrategy {
       for (std::size_t k = lap.row_ptr()[i]; k < lap.row_ptr()[i + 1]; ++k)
         momentum.add(i, lap.col_idx()[k], -nu_dt * lap.values()[k]);
     }
-    momentum_op_ = la::SparseFirstSolver(la::CsrMatrix(momentum),
-                                         solver.config().solver);
+    momentum_op_ = la::SparseFirstSolver(la::CsrMatrix(momentum));
     // Inlet quadrature (trapezoid in y).
     const auto& ys = solver.inlet_y();
     inlet_quad_ = la::Vector(ys.size(), 0.0);

@@ -1,7 +1,7 @@
 #pragma once
 /// \file blas.hpp
-/// \brief BLAS-like dense kernels. Level-1/2/3 operations used by the direct and
-/// iterative solvers and by the autodiff vector layer. Level-2/3 kernels are
+/// \brief BLAS-like dense kernels. Level-1/2/3 operations used by the direct
+/// solvers and by the autodiff vector layer. Level-2/3 kernels are
 /// OpenMP-parallel when built with UPDEC_HAVE_OPENMP.
 
 #include "la/dense.hpp"

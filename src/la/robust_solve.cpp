@@ -1,16 +1,11 @@
 #include "la/robust_solve.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "la/blas.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
@@ -19,6 +14,15 @@
 namespace updec::la {
 
 namespace {
+
+// Tikhonov schedule shared by the dense and band factorisations.
+constexpr double kShiftInitial = 1e-12;  // scaled by max(||A||_1, 1)
+constexpr double kShiftGrowth = 100.0;
+constexpr std::size_t kMaxShiftAttempts = 6;
+
+// A solve is accepted when ||b - A x|| <= max(kAcceptAbs, kAcceptRel ||b||).
+constexpr double kAcceptAbs = 1e-14;
+constexpr double kAcceptRel = 1e-8;
 
 /// 1-norm (max column absolute sum) of a CSR matrix; scale for shifts.
 double csr_norm1(const CsrMatrix& a) {
@@ -42,9 +46,51 @@ double dense_norm1(const Matrix& a) {
   return best;
 }
 
+/// Run `make(shift)` unshifted, then on the Tikhonov schedule until one
+/// attempt factors. `make` throws updec::Error on a singular or non-finite
+/// pivot; `what` names the factorisation in logs and in the final error,
+/// and `shifted_counter` counts the factorisations that needed a shift.
+template <typename Factor, typename Make>
+Factor factor_with_shifts(double norm1, FactorReport& out, const char* what,
+                          const char* shifted_counter, Make&& make) {
+  out = FactorReport{};
+  ++out.attempts;
+  try {
+    Factor f = make(0.0);
+    out.ok = true;
+    return f;
+  } catch (const Error& e) {
+    log_warn() << what << ": factorisation failed (" << e.what()
+               << "); retrying with Tikhonov shift";
+  }
+  // Scaled by the matrix magnitude so lambda is meaningful for both O(1)
+  // and O(1e6) systems.
+  double shift = kShiftInitial * std::max(norm1, 1.0);
+  for (std::size_t attempt = 0; attempt < kMaxShiftAttempts;
+       ++attempt, shift *= kShiftGrowth) {
+    ++out.attempts;
+    try {
+      Factor f = make(shift);
+      out.ok = true;
+      out.shifted = true;
+      out.shift = shift;
+      UPDEC_METRIC_ADD(shifted_counter, 1);
+      log_warn() << what << ": factored with Tikhonov shift " << shift
+                 << " after " << out.attempts << " attempt(s)";
+      return f;
+    } catch (const Error&) {
+      // grow the shift and retry
+    }
+  }
+  std::ostringstream os;
+  os << what << ": matrix remained singular after " << out.attempts
+     << " attempts (final shift " << shift / kShiftGrowth << ")";
+  throw Error(os.str());
+}
+
 /// ||b - A x||_2 (or ||b - A^T x||_2), +inf when x has non-finite entries.
 double true_residual(const CsrMatrix& a, const Vector& b, const Vector& x,
-                     bool transpose = false) {
+                     bool transpose) {
   if (!all_finite(x)) return std::numeric_limits<double>::infinity();
   Vector r = b;
   if (transpose)
@@ -54,86 +100,12 @@ double true_residual(const CsrMatrix& a, const Vector& b, const Vector& x,
   return nrm2(r);
 }
 
-/// Stages 4+ of the escalation chain, shared by RobustSolver and
-/// SparseFirstSolver: starting from report.shift, grow the Tikhonov lambda
-/// while each refactorisation still reduces the true residual; stop as soon
-/// as a larger shift moves away from the true solution (or fails to factor).
-/// x / report are updated in place with the best solution seen.
-void escalate_shifted_retries(const CsrMatrix& a, const Vector& b,
-                              bool transpose, double accept,
-                              const RobustSolveOptions& options, Vector& x,
-                              SolveReport& report) {
-  double shift = report.shift;
-  for (std::size_t extra = 0;
-       !report.converged && extra < options.max_shift_attempts; ++extra) {
-    shift *= options.shift_growth;
-    Matrix shifted = a.to_dense();
-    for (std::size_t i = 0; i < shifted.rows(); ++i) shifted(i, i) += shift;
-    ++report.attempts;
-    try {
-      const LuFactorization retry(std::move(shifted));
-      // (A + sI)^T = A^T + sI, so the transpose path reuses the same factor.
-      Vector x_retry = transpose ? retry.solve_transpose(b) : retry.solve(b);
-      const double res = true_residual(a, b, x_retry, transpose);
-      if (res < report.residual_norm || !std::isfinite(report.residual_norm)) {
-        x = std::move(x_retry);
-        report.residual_norm = res;
-        report.shift = shift;
-        report.converged = std::isfinite(res) && res <= accept;
-      } else {
-        break;  // larger shifts only move further from the true solution
-      }
-    } catch (const Error&) {
-      break;
-    }
-  }
-}
-
-/// diag(scale) * a with scale_i = 1 / max_j |a_ij| (1 for empty rows).
-/// Row equilibration leaves the solution of A x = b unchanged (solve
-/// diag(s) A x = diag(s) b instead) but repairs the ILU(0) quality on
-/// RBF-FD assemblies whose interior rows are O(1/h^2) against O(1)
-/// boundary-condition rows.
-CsrMatrix row_equilibrated(const CsrMatrix& a, Vector& scale) {
-  scale = Vector(a.rows(), 1.0);
-  const auto& row_ptr = a.row_ptr();
-  std::vector<double> values = a.values();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double row_max = 0.0;
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k)
-      row_max = std::max(row_max, std::abs(values[k]));
-    if (row_max > 0.0 && std::isfinite(row_max)) scale[i] = 1.0 / row_max;
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k)
-      values[k] *= scale[i];
-  }
-  return {a.rows(), a.cols(), a.row_ptr(), a.col_idx(), std::move(values)};
-}
-
 }  // namespace
-
-std::size_t sparse_min_n_from_env() {
-  constexpr std::size_t kDefault = 512;
-  const char* raw = std::getenv("UPDEC_SPARSE_MIN_N");
-  if (raw == nullptr || *raw == '\0') return kDefault;
-  std::size_t value = 0;
-  const char* end = raw + std::strlen(raw);
-  const auto [ptr, ec] = std::from_chars(raw, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    log_warn() << "UPDEC_SPARSE_MIN_N: ignoring malformed value '" << raw
-               << "'; using default " << kDefault;
-    return kDefault;
-  }
-  return value;
-}
-
-bool mixed_precision_from_env() {
-  return env::get_bool("UPDEC_MIXED_PRECISION", false);
-}
 
 const char* to_string(SolveMethod method) {
   switch (method) {
     case SolveMethod::kIterative: return "iterative";
-    case SolveMethod::kDenseLu: return "dense-lu";
+    case SolveMethod::kBandLu: return "band-lu";
     case SolveMethod::kShiftedLu: return "shifted-lu";
   }
   return "?";
@@ -142,9 +114,9 @@ const char* to_string(SolveMethod method) {
 const SolveReport& SolveReport::require_converged(const char* context) const {
   if (!converged) {
     std::ostringstream os;
-    os << context << ": robust solve did not converge (method "
-       << to_string(method) << ", " << attempts << " stage(s), residual "
-       << residual_norm << ", shift " << shift << ")";
+    os << context << ": solve did not converge (method " << to_string(method)
+       << ", " << attempts << " attempt(s), residual " << residual_norm
+       << ", shift " << shift << ")";
     throw Error(os.str());
   }
   return *this;
@@ -174,193 +146,37 @@ Vector checked_solve(const LuFactorization& lu, const Vector& b,
   return x;
 }
 
-RobustSolver::RobustSolver(CsrMatrix a, RobustSolveOptions options)
-    : a_(std::move(a)), options_(options) {
-  UPDEC_REQUIRE(a_.rows() == a_.cols(), "RobustSolver needs a square matrix");
-  try {
-    precond_ = Ilu0(a_).as_preconditioner();
-  } catch (const Error& e) {
-    log_warn() << "RobustSolver: ILU(0) preconditioner failed ("
-               << e.what() << "); falling back to Jacobi";
-    precond_ = jacobi_preconditioner(a_);
-  }
-}
-
-SolveReport RobustSolver::solve(const Vector& b, Vector& x) const {
-  UPDEC_TRACE_SCOPE("la/robust_solve");
-  SolveReport report = solve_impl(b, x);
-  if (metrics::enabled()) {
-    metrics::counter_add("la/robust_solve.calls");
-    metrics::counter_add("la/robust_solve.iterations", report.iterations);
-    // Escalations = stages beyond the first that had to be tried.
-    if (report.attempts > 1)
-      metrics::counter_add("la/robust_solve.escalations", report.attempts - 1);
-    switch (report.method) {
-      case SolveMethod::kIterative:
-        metrics::counter_add("la/robust_solve.method.iterative");
-        break;
-      case SolveMethod::kDenseLu:
-        metrics::counter_add("la/robust_solve.method.dense_lu");
-        break;
-      case SolveMethod::kShiftedLu:
-        metrics::counter_add("la/robust_solve.method.shifted_lu");
-        break;
-    }
-    if (!report.converged) metrics::counter_add("la/robust_solve.failures");
-    metrics::observe("la/robust_solve.residual", report.residual_norm);
-  }
-  return report;
-}
-
-SolveReport RobustSolver::solve_impl(const Vector& b, Vector& x) const {
-  UPDEC_REQUIRE(b.size() == a_.rows(), "RobustSolver rhs size mismatch");
-  const Stopwatch watch;
-  SolveReport report;
-  const double b_norm = nrm2(b);
-  const double accept = std::max(options_.iterative.abs_tol,
-                                 options_.accept_rel_residual * b_norm);
-
-  // Stage 1: preconditioned GMRES.
-  if (options_.use_gmres) {
-    ++report.attempts;
-    IterativeResult res = gmres(a_, b, options_.iterative, precond_);
-    const double true_res = true_residual(a_, b, res.x);
-    if (res.converged && std::isfinite(true_res)) {
-      x = std::move(res.x);
-      report.method = SolveMethod::kIterative;
-      report.iterations = res.iterations;
-      report.residual_norm = true_res;
-      report.converged = true;
-      report.seconds = watch.seconds();
-      return report;
-    }
-    log_warn() << "RobustSolver: GMRES failed to converge (residual "
-               << res.residual_norm << " after " << res.iterations
-               << " iterations); escalating to BiCGSTAB";
-  }
-
-  // Stage 2: BiCGSTAB.
-  if (options_.use_bicgstab) {
-    ++report.attempts;
-    IterativeResult res = bicgstab(a_, b, options_.iterative, precond_);
-    const double true_res = true_residual(a_, b, res.x);
-    if (res.converged && std::isfinite(true_res)) {
-      x = std::move(res.x);
-      report.method = SolveMethod::kIterative;
-      report.iterations = res.iterations;
-      report.residual_norm = true_res;
-      report.converged = true;
-      report.seconds = watch.seconds();
-      return report;
-    }
-    log_warn() << "RobustSolver: BiCGSTAB failed to converge (residual "
-               << res.residual_norm << " after " << res.iterations
-               << " iterations); escalating to dense LU";
-  }
-
-  // Stages 3-4: densify; plain LU first, then growing Tikhonov shifts.
-  UPDEC_REQUIRE(options_.use_dense_fallback,
-                "robust solve exhausted its iterative stages and the dense "
-                "fallback is disabled");
-  ++report.attempts;
-  FactorReport factor;
-  const LuFactorization lu =
-      robust_lu_factor(a_.to_dense(), &factor, options_);
-  report.attempts += factor.attempts - 1;  // count the shifted retries
-  report.shift = factor.shift;
-  x = lu.solve(b);
-  report.residual_norm = true_residual(a_, b, x);
-  report.method =
-      factor.shifted ? SolveMethod::kShiftedLu : SolveMethod::kDenseLu;
-  report.converged =
-      std::isfinite(report.residual_norm) && report.residual_norm <= accept;
-
-  // A shifted factorisation regularises the system; if its residual misses
-  // the acceptance threshold, keep escalating the shift while it helps.
-  if (factor.shifted)
-    escalate_shifted_retries(a_, b, /*transpose=*/false, accept, options_, x,
-                             report);
-
-  if (!report.converged)
-    log_warn() << "RobustSolver: escalation chain exhausted; returning "
-               << "best-effort solution (method " << to_string(report.method)
-               << ", residual " << report.residual_norm << ", shift "
-               << report.shift << ")";
-  report.seconds = watch.seconds();
-  return report;
-}
-
 // ---- SparseFirstSolver ----------------------------------------------------
 
-struct SparseFirstSolver::State {
-  mutable std::mutex mutex;
-  // Dense LU: eager in dense mode, lazily built fallback in sparse mode.
-  std::shared_ptr<const LuFactorization> lu;
-  FactorReport factor;
-  // Lazily built transpose operator (row-equilibrated) + its scales and
-  // preconditioner (sparse mode only). The Ilu0 itself is retained (not
-  // just its closure) so the mixed-precision path can fetch the fp64
-  // refinement preconditioner from the same factorisation.
-  std::shared_ptr<const CsrMatrix> at;
-  Vector at_scale;
-  std::shared_ptr<const Ilu0> at_ilu;
-  Preconditioner at_precond;
-};
-
-SparseFirstSolver::SparseFirstSolver(CsrMatrix a, RobustSolveOptions options)
-    : a_(std::move(a)),
-      options_(options),
-      state_(std::make_shared<State>()) {
+SparseFirstSolver::SparseFirstSolver(CsrMatrix a) : a_(std::move(a)) {
   UPDEC_REQUIRE(a_.rows() == a_.cols(),
                 "SparseFirstSolver needs a square matrix");
-  sparse_ = a_.rows() >= options_.sparse_min_n;
-  if (sparse_) {
-    UPDEC_TRACE_SCOPE("la/sparse_first_setup");
-    if (options_.auto_restart)
-      options_.iterative.gmres_restart =
-          std::max(options_.iterative.gmres_restart,
-                   std::min<std::size_t>(a_.rows() / 64, 150));
-    scaled_ = row_equilibrated(a_, row_scale_);
-    try {
-      ilu_ = std::make_shared<const Ilu0>(scaled_);
-      precond_ = ilu_->as_preconditioner(options_.mixed_precision);
-    } catch (const Error& e) {
-      log_warn() << "SparseFirstSolver: ILU(0) preconditioner failed ("
-                 << e.what() << "); falling back to Jacobi";
-      precond_ = jacobi_preconditioner(scaled_);
-    }
-    UPDEC_METRIC_ADD("la/sparse_first.sparse_instances", 1);
-  } else {
-    state_->lu = std::make_shared<const LuFactorization>(
-        robust_lu_factor(a_.to_dense(), &state_->factor, options_));
-    UPDEC_METRIC_ADD("la/sparse_first.dense_instances", 1);
+  UPDEC_TRACE_SCOPE("la/sparse_first_setup");
+  lu_ = std::make_shared<const BandLu>(factor_with_shifts<BandLu>(
+      csr_norm1(a_), factor_, "band LU", "la/band_lu.shifted",
+      [this](double shift) { return BandLu(a_, shift); }));
+}
+
+SolveReport SparseFirstSolver::report_for(double residual, double b_norm,
+                                          double seconds) const {
+  SolveReport report;
+  report.method =
+      factor_.shifted ? SolveMethod::kShiftedLu : SolveMethod::kBandLu;
+  report.attempts = factor_.attempts;
+  report.shift = factor_.shift;
+  report.residual_norm = residual;
+  report.converged = std::isfinite(residual) &&
+                     residual <= std::max(kAcceptAbs, kAcceptRel * b_norm);
+  report.seconds = seconds;
+  UPDEC_METRIC_ADD("la/sparse_first.calls", 1);
+  if (!report.converged) {
+    UPDEC_METRIC_ADD("la/sparse_first.failures", 1);
+    log_warn() << "SparseFirstSolver: residual " << residual
+               << " misses the acceptance threshold (method "
+               << to_string(report.method) << ", shift " << report.shift
+               << ")";
   }
-}
-
-FactorReport SparseFirstSolver::factor_report() const {
-  if (state_ == nullptr) return {};
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->factor;
-}
-
-std::shared_ptr<const LuFactorization> SparseFirstSolver::dense_lu() const {
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  if (state_->lu == nullptr) {
-    UPDEC_TRACE_SCOPE("la/sparse_first_fallback_factor");
-    state_->lu = std::make_shared<const LuFactorization>(
-        robust_lu_factor(a_.to_dense(), &state_->factor, options_));
-    UPDEC_METRIC_ADD("la/sparse_first.fallback_factorizations", 1);
-  }
-  return state_->lu;
-}
-
-void SparseFirstSolver::install_preconditioner(
-    std::shared_ptr<const Ilu0> ilu) {
-  if (!sparse_ || ilu == nullptr) return;
-  UPDEC_REQUIRE(ilu->factors().rows() == a_.rows(),
-                "installed ILU(0) size does not match the operator");
-  ilu_ = std::move(ilu);
-  precond_ = ilu_->as_preconditioner(options_.mixed_precision);
+  return report;
 }
 
 Vector SparseFirstSolver::solve(const Vector& b, SolveReport* report) const {
@@ -373,218 +189,51 @@ Vector SparseFirstSolver::solve_transpose(const Vector& b,
 }
 
 Vector SparseFirstSolver::solve_dir(const Vector& b, bool transpose,
-                                    SolveReport* out) const {
+                                    SolveReport* report) const {
   UPDEC_REQUIRE(valid(), "SparseFirstSolver used before initialisation");
-  UPDEC_REQUIRE(b.size() == a_.rows(), "SparseFirstSolver rhs size mismatch");
+  UPDEC_REQUIRE(b.size() == size(), "SparseFirstSolver rhs size mismatch");
   UPDEC_TRACE_SCOPE("la/sparse_first");
   const Stopwatch watch;
-  SolveReport report;
-  Vector x;
-  const double b_norm = nrm2(b);
-  const double accept = std::max(options_.iterative.abs_tol,
-                                 options_.accept_rel_residual * b_norm);
-  bool done = false;
-
-  if (sparse_) {
-    // Pick the (row-equilibrated) operator / scales / preconditioner for
-    // this direction; the transposed pieces are built on first use and
-    // cached. Note the transpose of A needs its OWN row scales -- rows of
-    // A^T are columns of A.
-    const CsrMatrix* op = &scaled_;
-    const Vector* scale = &row_scale_;
-    const Preconditioner* pc = &precond_;
-    // fp64 ILU backing the preconditioner for this direction (null when the
-    // incomplete factorisation fell back to Jacobi); source of the fp64
-    // refinement closure on the mixed-precision path.
-    std::shared_ptr<const Ilu0> dir_ilu = ilu_;
-    std::shared_ptr<const CsrMatrix> at_keepalive;
-    if (transpose) {
-      const std::lock_guard<std::mutex> lock(state_->mutex);
-      if (state_->at == nullptr) {
-        state_->at = std::make_shared<const CsrMatrix>(
-            row_equilibrated(a_.transposed(), state_->at_scale));
-        try {
-          state_->at_ilu = std::make_shared<const Ilu0>(*state_->at);
-          state_->at_precond =
-              state_->at_ilu->as_preconditioner(options_.mixed_precision);
-        } catch (const Error& e) {
-          log_warn() << "SparseFirstSolver: transpose ILU(0) failed ("
-                     << e.what() << "); falling back to Jacobi";
-          state_->at_precond = jacobi_preconditioner(*state_->at);
-        }
-      }
-      at_keepalive = state_->at;
-      op = at_keepalive.get();
-      scale = &state_->at_scale;
-      pc = &state_->at_precond;
-      dir_ilu = state_->at_ilu;
-    }
-
-    // The Krylov stages solve the equilibrated system diag(s) A x =
-    // diag(s) b -- same solution, far better-behaved ILU(0).
-    Vector bs = b;
-    for (std::size_t i = 0; i < bs.size(); ++i) bs[i] *= (*scale)[i];
-
-    // Stage 1: ILU-preconditioned GMRES on the sparse operator.
-    if (!done && options_.use_gmres) {
-      ++report.attempts;
-      IterativeResult res = gmres(*op, bs, options_.iterative, *pc);
-      double true_res = true_residual(a_, b, res.x, transpose);
-      // Iterative-refinement fallback for mixed precision: if the fp32
-      // preconditioner stalled GMRES, retry with the fp64 closure of the
-      // SAME factorisation, warm-started from the failed iterate, before
-      // escalating past GMRES entirely.
-      if (!(res.converged && std::isfinite(true_res)) &&
-          options_.mixed_precision && dir_ilu != nullptr) {
-        log_warn() << "SparseFirstSolver: fp32-preconditioned GMRES failed "
-                      "(residual "
-                   << res.residual_norm
-                   << "); refining with the fp64 preconditioner";
-        UPDEC_METRIC_ADD("la/sparse_first.mixed_refinements", 1);
-        ++report.attempts;
-        std::optional<Vector> warm;
-        if (all_finite(res.x)) warm = std::move(res.x);
-        res = gmres(*op, bs, options_.iterative,
-                    dir_ilu->as_preconditioner(false), std::move(warm));
-        true_res = true_residual(a_, b, res.x, transpose);
-      }
-      if (res.converged && std::isfinite(true_res)) {
-        x = std::move(res.x);
-        report.method = SolveMethod::kIterative;
-        report.iterations = res.iterations;
-        report.residual_norm = true_res;
-        report.converged = true;
-        done = true;
-      } else {
-        log_warn() << "SparseFirstSolver: GMRES failed (residual "
-                   << res.residual_norm << " after " << res.iterations
-                   << " iterations); escalating to BiCGSTAB";
-      }
-    }
-
-    // Stage 2: BiCGSTAB.
-    if (!done && options_.use_bicgstab) {
-      ++report.attempts;
-      IterativeResult res = bicgstab(*op, bs, options_.iterative, *pc);
-      const double true_res = true_residual(a_, b, res.x, transpose);
-      if (res.converged && std::isfinite(true_res)) {
-        x = std::move(res.x);
-        report.method = SolveMethod::kIterative;
-        report.iterations = res.iterations;
-        report.residual_norm = true_res;
-        report.converged = true;
-        done = true;
-      } else {
-        log_warn() << "SparseFirstSolver: BiCGSTAB failed (residual "
-                   << res.residual_norm << " after " << res.iterations
-                   << " iterations); escalating to dense LU";
-      }
-    }
-
-    if (!done) {
-      UPDEC_REQUIRE(options_.use_dense_fallback,
-                    "sparse-first chain exhausted its Krylov stages and the "
-                    "dense fallback is disabled");
-      UPDEC_METRIC_ADD("la/sparse_first.fallbacks", 1);
-    }
-  }
-
-  // Dense stage: the eager factorisation (dense mode) or the lazily built,
-  // cached fallback (sparse mode after Krylov exhaustion).
-  if (!done) {
-    const std::shared_ptr<const LuFactorization> lu = dense_lu();
-    const FactorReport factor = factor_report();
-    ++report.attempts;
-    report.attempts += factor.attempts - 1;  // count the shifted retries
-    report.shift = factor.shift;
-    x = transpose ? lu->solve_transpose(b) : lu->solve(b);
-    report.residual_norm = true_residual(a_, b, x, transpose);
-    report.method =
-        factor.shifted ? SolveMethod::kShiftedLu : SolveMethod::kDenseLu;
-    report.converged = std::isfinite(report.residual_norm) &&
-                       report.residual_norm <= accept;
-    if (factor.shifted)
-      escalate_shifted_retries(a_, b, transpose, accept, options_, x, report);
-    if (!report.converged)
-      log_warn() << "SparseFirstSolver: chain exhausted; returning "
-                 << "best-effort solution (method " << to_string(report.method)
-                 << ", residual " << report.residual_norm << ", shift "
-                 << report.shift << ")";
-  }
-
-  report.seconds = watch.seconds();
-  if (metrics::enabled()) {
-    metrics::counter_add("la/sparse_first.calls");
-    metrics::counter_add("la/sparse_first.iterations", report.iterations);
-    if (!report.converged) metrics::counter_add("la/sparse_first.failures");
-  }
-  if (out != nullptr) *out = report;
+  Vector x = transpose ? lu_->solve_transpose(b) : lu_->solve(b);
+  const SolveReport r = report_for(true_residual(a_, b, x, transpose),
+                                   nrm2(b), watch.seconds());
+  if (report != nullptr) *report = r;
   return x;
 }
 
 Matrix SparseFirstSolver::solve_many(const Matrix& b,
-                                     SolveReport* out) const {
+                                     SolveReport* report) const {
   UPDEC_REQUIRE(valid(), "SparseFirstSolver used before initialisation");
-  UPDEC_REQUIRE(b.rows() == a_.rows(),
+  UPDEC_REQUIRE(b.rows() == size(),
                 "SparseFirstSolver batched rhs size mismatch");
   UPDEC_TRACE_SCOPE("la/sparse_first_many");
-  if (!sparse_) {
-    // One blocked dense sweep; k solves cost one pass over L/U.
-    const Stopwatch watch;
-    const std::shared_ptr<const LuFactorization> lu = dense_lu();
-    Matrix x = lu->solve_many(b);
-    if (out != nullptr) {
-      const FactorReport factor = factor_report();
-      SolveReport report;
-      report.attempts = factor.attempts;
-      report.shift = factor.shift;
-      report.method =
-          factor.shifted ? SolveMethod::kShiftedLu : SolveMethod::kDenseLu;
-      // Worst-column true residual over the batch.
-      Matrix r = b;
-      a_.spmm(-1.0, x, 1.0, r);
-      double worst = 0.0;
-      bool all_ok = true;
-      for (std::size_t j = 0; j < r.cols(); ++j) {
-        double s = 0.0, bn = 0.0;
-        for (std::size_t i = 0; i < r.rows(); ++i) {
-          if (!std::isfinite(x(i, j))) all_ok = false;
-          s += r(i, j) * r(i, j);
-          bn += b(i, j) * b(i, j);
-        }
-        const double accept =
-            std::max(options_.iterative.abs_tol,
-                     options_.accept_rel_residual * std::sqrt(bn));
-        worst = std::max(worst, std::sqrt(s));
-        if (std::sqrt(s) > accept) all_ok = false;
-      }
-      report.residual_norm = worst;
-      report.converged = all_ok;
-      report.seconds = watch.seconds();
-      *out = report;
+  const Stopwatch watch;
+  Matrix x = lu_->solve_many(b);
+  // Judge the worst column: the one whose residual misses its own
+  // threshold by the largest factor.
+  Matrix r = b;
+  a_.spmm(-1.0, x, 1.0, r);
+  double worst_res = 0.0, worst_b = 0.0, worst_ratio = -1.0;
+  for (std::size_t j = 0; j < r.cols(); ++j) {
+    double s = 0.0, bn = 0.0;
+    bool finite = true;
+    for (std::size_t i = 0; i < r.rows(); ++i) {
+      finite = finite && std::isfinite(x(i, j));
+      s += r(i, j) * r(i, j);
+      bn += b(i, j) * b(i, j);
     }
-    return x;
+    const double res =
+        finite ? std::sqrt(s) : std::numeric_limits<double>::infinity();
+    const double ratio =
+        res / std::max(kAcceptAbs, kAcceptRel * std::sqrt(bn));
+    if (!(ratio <= worst_ratio)) {
+      worst_ratio = ratio;
+      worst_res = res;
+      worst_b = std::sqrt(bn);
+    }
   }
-  // Sparse mode: run the chain per column, sharing the preconditioner and
-  // any fallback factorisation across the whole batch.
-  Matrix x(b.rows(), b.cols());
-  SolveReport agg;
-  Vector rhs(b.rows());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    for (std::size_t i = 0; i < b.rows(); ++i) rhs[i] = b(i, j);
-    SolveReport col;
-    const Vector xj = solve_dir(rhs, /*transpose=*/false, &col);
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = xj[i];
-    agg.attempts = std::max(agg.attempts, col.attempts);
-    agg.iterations += col.iterations;
-    agg.residual_norm = std::max(agg.residual_norm, col.residual_norm);
-    agg.shift = std::max(agg.shift, col.shift);
-    agg.seconds += col.seconds;
-    if (static_cast<int>(col.method) > static_cast<int>(agg.method))
-      agg.method = col.method;
-    agg.converged = (j == 0 ? col.converged : agg.converged && col.converged);
-  }
-  if (out != nullptr) *out = agg;
+  const SolveReport rep = report_for(worst_res, worst_b, watch.seconds());
+  if (report != nullptr) *report = rep;
   return x;
 }
 
@@ -599,51 +248,18 @@ Vector checked_solve(const SparseFirstSolver& op, const Vector& b,
   return x;
 }
 
-LuFactorization robust_lu_factor(const Matrix& a, FactorReport* report,
-                                 const RobustSolveOptions& options) {
+LuFactorization robust_lu_factor(const Matrix& a, FactorReport* report) {
   UPDEC_TRACE_SCOPE("la/lu_factor");
   UPDEC_METRIC_ADD("la/lu_factor.calls", 1);
   FactorReport local;
-  FactorReport& out = report != nullptr ? *report : local;
-  out = FactorReport{};
-
-  // Unshifted attempt.
-  ++out.attempts;
-  try {
-    LuFactorization lu{Matrix(a)};
-    out.ok = true;
-    return lu;
-  } catch (const Error& e) {
-    log_warn() << "robust_lu_factor: factorisation failed (" << e.what()
-               << "); retrying with Tikhonov shift";
-  }
-
-  // Escalating shifts, scaled by the matrix magnitude so lambda is
-  // meaningful for both O(1) and O(1e6) collocation systems.
-  const double scale = std::max(dense_norm1(a), 1.0);
-  double shift = options.shift_initial * scale;
-  for (std::size_t attempt = 0; attempt < options.max_shift_attempts;
-       ++attempt, shift *= options.shift_growth) {
-    ++out.attempts;
-    Matrix shifted = a;
-    for (std::size_t i = 0; i < shifted.rows(); ++i) shifted(i, i) += shift;
-    try {
-      LuFactorization lu{std::move(shifted)};
-      out.ok = true;
-      out.shifted = true;
-      out.shift = shift;
-      UPDEC_METRIC_ADD("la/lu_factor.shifted", 1);
-      log_warn() << "robust_lu_factor: factored with Tikhonov shift "
-                 << shift << " after " << out.attempts << " attempt(s)";
-      return lu;
-    } catch (const Error&) {
-      // grow the shift and retry
-    }
-  }
-  std::ostringstream os;
-  os << "robust_lu_factor: matrix remained singular after " << out.attempts
-     << " attempts (final shift " << shift / options.shift_growth << ")";
-  throw Error(os.str());
+  return factor_with_shifts<LuFactorization>(
+      dense_norm1(a), report != nullptr ? *report : local, "robust_lu_factor",
+      "la/lu_factor.shifted", [&a](double shift) {
+        Matrix m = a;
+        if (shift != 0.0)
+          for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += shift;
+        return LuFactorization(std::move(m));
+      });
 }
 
 }  // namespace updec::la

@@ -1,216 +1,60 @@
 #pragma once
 /// \file robust_solve.hpp
-/// \brief Resilient linear solves for the optimisation stack.
+/// \brief Checked direct solves for the optimisation stack.
 ///
 /// The paper's three strategies each run hundreds of back-to-back linear
 /// solves inside 350-500-iteration optimisation loops; an ill-conditioned
-/// collocation system or a stalled Krylov solve must degrade gracefully
-/// instead of silently corrupting the run. Two entry points:
+/// or singular system must degrade gracefully instead of silently
+/// corrupting the run. Two entry points:
 ///
-///  * RobustSolver (sparse): an escalation chain
-///      preconditioned GMRES -> BiCGSTAB -> dense LU -> LU of A + lambda I
-///    with growing Tikhonov shift, validating residual finiteness at every
-///    stage and returning a structured SolveReport callers must consume.
+///  * SparseFirstSolver: every square CSR system (RBF-FD momentum, pressure,
+///    Laplace and heat operators). One band LU (la/band.hpp) is factored at
+///    construction and reused for every solve, transpose solve and batched
+///    solve; each solve checks its true residual into a SolveReport.
 ///
-///  * robust_lu_factor (dense): factor A, escalating to A + lambda I on a
-///    singular pivot or non-finite entries; used by every cached dense
-///    factorisation in src/pde, src/rbf and src/control.
+///  * robust_lu_factor (dense): factor A for global collocation.
 ///
-///  * SparseFirstSolver: the default path for RBF-FD-discretised operators.
-///    Below RobustSolveOptions::sparse_min_n it densifies up front (robust
-///    LU, amortised across right-hand sides); at or above the threshold it
-///    keeps the CSR operator and runs the ILU(0)-preconditioned Krylov chain
-///    (GMRES -> BiCGSTAB), building the dense LU lazily only if the Krylov
-///    stages fail. One instance is reusable across right-hand sides and
-///    exposes transpose and batched multi-RHS solves for the adjoint (AD
-///    VJP) and serving paths.
+/// Both factor paths share one Tikhonov schedule: on a zero or non-finite
+/// pivot they refactor A + lambda I with lambda = 1e-12 max(||A||_1, 1),
+/// growing 100x per try for up to 6 tries, and record it in a FactorReport.
 
 #include <memory>
 
-#include "la/iterative.hpp"
+#include "la/band.hpp"
 #include "la/lu.hpp"
 #include "la/sparse.hpp"
 
 namespace updec::la {
 
-/// Which stage of the escalation chain produced the accepted solution.
+/// Which factorisation produced the accepted solution.
 enum class SolveMethod {
-  kIterative,  ///< preconditioned GMRES or BiCGSTAB converged
-  kDenseLu,    ///< dense LU of the (unshifted) matrix
-  kShiftedLu,  ///< dense LU of A + lambda I (Tikhonov-regularised)
+  /// Produced by nothing: no solver iterates any more. It stays because
+  /// perfbench counts solves whose method differs from it, until the
+  /// benchmark change that retires its la.krylov_iters and la.fallback_share
+  /// counts (which read 0 and 1 meanwhile).
+  kIterative,
+  kBandLu,     ///< band LU of A
+  kShiftedLu,  ///< band LU of A + lambda I (Tikhonov-regularised)
 };
 
 [[nodiscard]] const char* to_string(SolveMethod method);
 
-/// Structured outcome of a robust solve. Marked nodiscard so call sites
+/// Structured outcome of a checked solve. Marked nodiscard so call sites
 /// must consume it (satisfying or explicitly waiving the converged check).
 struct [[nodiscard]] SolveReport {
-  SolveMethod method = SolveMethod::kIterative;
-  std::size_t attempts = 0;     ///< escalation stages tried (>= 1)
-  std::size_t iterations = 0;   ///< Krylov iterations of the winning stage
+  SolveMethod method = SolveMethod::kBandLu;
+  std::size_t attempts = 0;     ///< factorisation attempts (1 unless shifted)
+  std::size_t iterations = 0;   ///< always 0; read by perfbench
   double residual_norm = 0.0;   ///< ||b - A x|| of the accepted solution
-  double shift = 0.0;           ///< final Tikhonov lambda (0 when unshifted)
-  double seconds = 0.0;         ///< wall time across all stages
+  double shift = 0.0;           ///< Tikhonov lambda (0 when unshifted)
+  double seconds = 0.0;         ///< wall time of the solve
   bool converged = false;       ///< accepted solution meets the tolerance
 
   /// Throw updec::Error naming `context` unless the solve converged.
   const SolveReport& require_converged(const char* context) const;
 };
 
-/// Default SparseFirstSolver size threshold: systems with fewer rows than
-/// this densify up front (dense LU wins at small N and its factorisation
-/// amortises across right-hand sides); larger systems stay sparse and solve
-/// with ILU-preconditioned Krylov. Reads UPDEC_SPARSE_MIN_N from the
-/// environment on every call (so tests can flip it); malformed or unset
-/// values yield the built-in default of 512.
-[[nodiscard]] std::size_t sparse_min_n_from_env();
-
-/// \brief `UPDEC_MIXED_PRECISION` (default off): apply the ILU(0)
-/// preconditioner in fp32 inside the fp64 Krylov chain. The factors' fp32
-/// shadow halves the memory traffic of the bandwidth-bound triangular
-/// sweeps; correctness is unaffected because every chain stage accepts a
-/// solution only on its true fp64 residual, and a failed fp32-preconditioned
-/// GMRES is retried with the fp64 preconditioner (warm-started from the
-/// failed iterate) before escalating further.
-[[nodiscard]] bool mixed_precision_from_env();
-
-/// Tuning knobs for the escalation chain and the shifted refactorisation.
-struct RobustSolveOptions {
-  IterativeOptions iterative;       ///< tolerances for the Krylov stages
-  bool use_gmres = true;            ///< stage 1
-  bool use_bicgstab = true;         ///< stage 2
-  bool use_dense_fallback = true;   ///< stages 3-4 (densify + LU)
-  double accept_rel_residual = 1e-8;  ///< direct-solve acceptance threshold
-  double shift_initial = 1e-12;     ///< first lambda, scaled by ||A||_1
-  double shift_growth = 100.0;      ///< lambda multiplier per attempt
-  std::size_t max_shift_attempts = 6;
-  /// SparseFirstSolver threshold: n < sparse_min_n solves by eager dense LU,
-  /// n >= sparse_min_n stays on the CSR Krylov path. Defaults from
-  /// UPDEC_SPARSE_MIN_N (see sparse_min_n_from_env). Set to 0 to force the
-  /// sparse path, or to a value above n to force dense.
-  std::size_t sparse_min_n = sparse_min_n_from_env();
-  /// Apply ILU(0) in fp32 inside the fp64 Krylov stages (see
-  /// mixed_precision_from_env); fp64 refinement retry on failure.
-  bool mixed_precision = mixed_precision_from_env();
-  /// Scale the GMRES restart length with problem size on the sparse path:
-  /// SparseFirstSolver raises iterative.gmres_restart to min(n/64, 150).
-  /// Restart cycles discard the Krylov space, and on RBF-FD operators at
-  /// n ~ 10^4 the longer Arnoldi cycle cuts total iterations by ~25% for a
-  /// bounded m*n workspace. Never shrinks an explicitly larger restart; set
-  /// false to pin the restart length exactly.
-  bool auto_restart = true;
-};
-
-/// Escalating solver for one sparse system, reusable across right-hand
-/// sides. Builds an ILU(0) preconditioner up front (falling back to Jacobi
-/// if the incomplete factorisation itself fails).
-class RobustSolver {
- public:
-  explicit RobustSolver(CsrMatrix a, RobustSolveOptions options = {});
-
-  /// Run the escalation chain for `b`; `x` receives the accepted solution
-  /// (best-effort Tikhonov-regularised when nothing converged).
-  SolveReport solve(const Vector& b, Vector& x) const;
-
-  [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
-  [[nodiscard]] const RobustSolveOptions& options() const { return options_; }
-
- private:
-  /// The escalation chain itself; solve() wraps it with trace/metrics.
-  SolveReport solve_impl(const Vector& b, Vector& x) const;
-
-  CsrMatrix a_;
-  RobustSolveOptions options_;
-  Preconditioner precond_;
-};
-
-struct FactorReport;  // defined below
-
-/// Sparse-first solver for one square CSR system, reusable across
-/// right-hand sides and safe to share between threads once constructed.
-///
-/// Mode is fixed at construction from options.sparse_min_n:
-///  * dense mode (n < sparse_min_n): robust dense LU factored eagerly; every
-///    solve is a cheap O(n^2) substitution and solve_many is one blocked
-///    sweep. This keeps the paper-scale test problems on the exact path
-///    they always used.
-///  * sparse mode (n >= sparse_min_n): the CSR operator is kept,
-///    row-equilibrated (RBF-FD assemblies mix O(1/h^2) interior rows with
-///    O(1) boundary rows, which wrecks ILU(0) quality as N grows; scaling
-///    diag(s) A x = diag(s) b leaves the solution unchanged) and an ILU(0)
-///    preconditioner built on the scaled operator (Jacobi fallback if the
-///    incomplete factorisation fails). Solves run the escalation chain
-///    ILU-GMRES -> BiCGSTAB -> dense LU (built lazily, cached, shared
-///    across solves) -> shifted LU, mirroring RobustSolver but without ever
-///    densifying while the Krylov stages keep converging.
-///
-/// solve_transpose serves the reverse-mode AD VJP (x_bar -> b_bar needs
-/// A^{-T}); in sparse mode the transposed operator and its ILU(0) are built
-/// lazily on first use and cached.
-class SparseFirstSolver {
- public:
-  SparseFirstSolver() = default;
-  explicit SparseFirstSolver(CsrMatrix a, RobustSolveOptions options = {});
-
-  /// False for a default-constructed (empty) solver.
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-  [[nodiscard]] std::size_t size() const { return a_.rows(); }
-  /// True when this instance took the CSR + Krylov path.
-  [[nodiscard]] bool sparse_path() const { return sparse_; }
-  [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
-  /// The operator the Krylov stages actually see: the row-equilibrated CSR
-  /// (diag(s) A with s_i = 1 / max_j |a_ij|) in sparse mode, `matrix()` in
-  /// dense mode. External ILU(0) memoization (serve::cached_ilu0) must
-  /// fingerprint and factor THIS matrix, not `matrix()`.
-  [[nodiscard]] const CsrMatrix& krylov_matrix() const {
-    return sparse_ ? scaled_ : a_;
-  }
-  [[nodiscard]] const RobustSolveOptions& options() const { return options_; }
-
-  /// Report of the dense factorisation: the eager one in dense mode, the
-  /// lazy fallback in sparse mode (attempts == 0 until a fallback fired).
-  [[nodiscard]] FactorReport factor_report() const;
-
-  /// Solve A x = b through the mode's chain. Always returns the best-effort
-  /// solution; convergence/residual details land in `report` when given.
-  Vector solve(const Vector& b, SolveReport* report = nullptr) const;
-
-  /// Solve A^T x = b (adjoint / VJP path).
-  Vector solve_transpose(const Vector& b, SolveReport* report = nullptr) const;
-
-  /// Solve A X = B column-wise. Dense mode runs one blocked LU sweep; sparse
-  /// mode runs the chain per column sharing the preconditioner and any
-  /// fallback factorisation. `report` aggregates the worst column.
-  Matrix solve_many(const Matrix& b, SolveReport* report = nullptr) const;
-
-  /// Replace the preconditioner with an externally memoized ILU(0) (see
-  /// serve::cached_ilu0) so warm scenario batches skip the factorisation.
-  /// No-op in dense mode or for a null pointer.
-  void install_preconditioner(std::shared_ptr<const Ilu0> ilu);
-
-  /// The ILU(0) currently preconditioning the sparse chain; null in dense
-  /// mode or after falling back to Jacobi.
-  [[nodiscard]] std::shared_ptr<const Ilu0> shared_preconditioner() const {
-    return ilu_;
-  }
-
- private:
-  struct State;  // mutex-guarded lazy pieces, shared so the solver is movable
-
-  Vector solve_dir(const Vector& b, bool transpose, SolveReport* report) const;
-  [[nodiscard]] std::shared_ptr<const LuFactorization> dense_lu() const;
-
-  CsrMatrix a_;
-  CsrMatrix scaled_;   ///< diag(row_scale_) * a_, sparse mode only
-  Vector row_scale_;   ///< per-row 1 / inf-norm of a_, sparse mode only
-  RobustSolveOptions options_;
-  bool sparse_ = false;
-  std::shared_ptr<const Ilu0> ilu_;
-  Preconditioner precond_;
-  std::shared_ptr<State> state_;
-};
-
-/// Outcome of a robust dense factorisation.
+/// Outcome of a robust factorisation.
 struct FactorReport {
   std::size_t attempts = 0;  ///< factorisation attempts (>= 1)
   double shift = 0.0;        ///< Tikhonov lambda actually applied
@@ -218,13 +62,54 @@ struct FactorReport {
   bool ok = false;           ///< a usable factorisation was produced
 };
 
+/// Direct solver for one square CSR system, reusable across right-hand
+/// sides and safe to share between threads once constructed. The name is
+/// historical: it once chose between dense LU and a Krylov chain by size.
+///
+/// The constructor orders the operator by reverse Cuthill-McKee and factors
+/// it as a band LU, escalating to A + lambda I on a zero or non-finite
+/// pivot (factor_report() records the shift). Every solve returns the
+/// solution and, when asked, a SolveReport with its true residual
+/// ||b - A x||: the solve converged when that is finite and at most
+/// max(1e-14, 1e-8 ||b||).
+class SparseFirstSolver {
+ public:
+  SparseFirstSolver() = default;
+  explicit SparseFirstSolver(CsrMatrix a);
+
+  /// False for a default-constructed (empty) solver.
+  [[nodiscard]] bool valid() const { return lu_ != nullptr; }
+  [[nodiscard]] std::size_t size() const { return a_.rows(); }
+  [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
+  [[nodiscard]] const FactorReport& factor_report() const { return factor_; }
+
+  /// Solve A x = b.
+  Vector solve(const Vector& b, SolveReport* report = nullptr) const;
+
+  /// Solve A^T x = b (adjoint / VJP path).
+  Vector solve_transpose(const Vector& b, SolveReport* report = nullptr) const;
+
+  /// Solve A X = B in one sweep; `report` carries the worst column.
+  Matrix solve_many(const Matrix& b, SolveReport* report = nullptr) const;
+
+ private:
+  Vector solve_dir(const Vector& b, bool transpose, SolveReport* report) const;
+  /// Check a solve with true residual `residual` against rhs norm `b_norm`:
+  /// the report, counted (and logged when it missed the threshold).
+  [[nodiscard]] SolveReport report_for(double residual, double b_norm,
+                                       double seconds) const;
+
+  CsrMatrix a_;
+  std::shared_ptr<const BandLu> lu_;
+  FactorReport factor_;
+};
+
 /// Factor `a`, escalating to `a + lambda I` with growing lambda on a
 /// singular pivot or non-finite breakdown. Each escalation is logged at
 /// warn level with the shift used. Throws updec::Error only when every
 /// attempt (including the largest shift) fails.
 LuFactorization robust_lu_factor(const Matrix& a,
-                                 FactorReport* report = nullptr,
-                                 const RobustSolveOptions& options = {});
+                                 FactorReport* report = nullptr);
 
 /// Factor `a + shift * max(||a||_1, 1) * I` directly — the "already known to
 /// need regularisation" path used by NaN-recovery re-solves.
@@ -239,9 +124,8 @@ LuFactorization shifted_lu_factor(const Matrix& a, double relative_shift);
 [[nodiscard]] Vector checked_solve(const LuFactorization& lu, const Vector& b,
                                    const char* context);
 
-/// Same finiteness contract for the sparse-first path: solve through the
-/// operator's chain and throw updec::Error naming `context` if the returned
-/// vector has non-finite entries.
+/// Same contract for a sparse operator: solve and throw updec::Error naming
+/// `context` if the returned vector has non-finite entries.
 [[nodiscard]] Vector checked_solve(const SparseFirstSolver& op,
                                    const Vector& b, const char* context);
 

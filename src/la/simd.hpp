@@ -2,11 +2,12 @@
 /// \file simd.hpp
 /// \brief Vectorisation helpers for the bandwidth-bound `la` hot kernels.
 ///
-/// The Krylov hot path (SpMV, triangular sweeps, axpy/dot/norm) is memory-
-/// bound: the win from explicit vectorisation is that the compiler emits one
-/// wide load/FMA stream per cache line instead of falling back to scalar
-/// code whenever it cannot prove two pointers do not alias or that a
-/// floating-point reduction may be reassociated. Two tools fix that:
+/// The sparse and dense hot paths (SpMV, band and triangular sweeps,
+/// axpy/dot/norm) are memory-bound: the win from explicit vectorisation is
+/// that the compiler emits one wide load/FMA stream per cache line instead of
+/// falling back to scalar code whenever it cannot prove two pointers do not
+/// alias or that a floating-point reduction may be reassociated. Two tools
+/// fix that:
 ///
 ///  * `UPDEC_RESTRICT` — promises no aliasing between the annotated raw
 ///    pointers inside one kernel, so loads can be hoisted and stores

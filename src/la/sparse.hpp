@@ -42,8 +42,7 @@ class SparseBuilder {
 /// \brief Immutable CSR sparse matrix.
 ///
 /// Column indices within each row are strictly ascending (established by
-/// construction and relied on by the binary searches in at() and the ILU(0)
-/// factorisation). The apply kernels are vectorised with `omp simd` +
+/// construction and relied on by the binary search in at()). The apply kernels are vectorised with `omp simd` +
 /// `restrict` (see la/simd.hpp): per-row accumulation order is fixed, so
 /// results are bitwise-reproducible across OpenMP team sizes within one
 /// binary.
@@ -76,9 +75,7 @@ class CsrMatrix {
   ///
   /// Runs directly off the untransposed storage (scatter over rows, serial
   /// so the accumulation order is deterministic): right for occasional
-  /// transpose products. Repeated transpose solves build transposed() once
-  /// instead — that is what SparseFirstSolver::solve_transpose does, with
-  /// the transposed operator's own equilibration and ILU factors.
+  /// transpose products, such as the residual check of a transpose solve.
   void spmv_t(double alpha, const Vector& x, double beta, Vector& y) const;
 
   /// \brief Allocating convenience: A^T x.
@@ -86,7 +83,7 @@ class CsrMatrix {
 
   /// \brief Y = alpha * A X + beta * Y with dense X, Y (OpenMP over rows,
   /// SIMD across each row of X). The multi-RHS analogue of spmv, used by
-  /// the batched sparse-first solves.
+  /// the residual check of batched sparse solves.
   void spmm(double alpha, const Matrix& x, double beta, Matrix& y) const;
 
   /// \brief Allocating convenience: A X for dense X.

@@ -61,8 +61,8 @@ ChannelFlowSolver::ChannelFlowSolver(const pc::PointCloud& cloud,
   // divergence it is driven by (using the RBF-FD Laplacian here instead
   // leaves an O(1) commutator residual that self-amplifies across steps).
   // Boundary rows: dp/dn = 0 on inlet and walls, p = 0 at the outlet.
-  // Both operators assemble sparse straight from the stencil-weight CSRs --
-  // no dense detour; SparseFirstSolver densifies only below its threshold.
+  // Both operators assemble sparse straight from the stencil-weight CSRs
+  // and are factored once as band LUs.
   is_interior_.assign(n, 0);
   for (std::size_t i = 0; i < cloud.num_internal(); ++i) is_interior_[i] = 1;
   lap_consistent_ = rbf::consistent_laplacian(dx_, dy_, is_interior_);
@@ -84,8 +84,7 @@ ChannelFlowSolver::ChannelFlowSolver(const pc::PointCloud& cloud,
       scatter_row(dy_, i, node.normal.y, pressure);
     }
   }
-  pressure_op_ =
-      la::SparseFirstSolver(la::CsrMatrix(pressure), config_.solver);
+  pressure_op_ = la::SparseFirstSolver(la::CsrMatrix(pressure));
 
   // Semi-implicit momentum operator: (I - dt/Re Lap) on interior rows,
   // identity on Dirichlet velocity rows, and the outflow condition
@@ -111,8 +110,7 @@ ChannelFlowSolver::ChannelFlowSolver(const pc::PointCloud& cloud,
       momentum.add(i, i, 1.0);
     }
   }
-  momentum_op_ =
-      la::SparseFirstSolver(la::CsrMatrix(momentum), config_.solver);
+  momentum_op_ = la::SparseFirstSolver(la::CsrMatrix(momentum));
 }
 
 double ChannelFlowSolver::target_outflow(double y) const {

@@ -42,10 +42,6 @@ struct ChannelFlowConfig {
   /// stability ablation).
   double hyperviscosity = 0.02;
   rbf::RbffdConfig rbffd;        ///< stencil size / polynomial degree
-  /// Solve-path knobs for the momentum and pressure operators: below
-  /// solver.sparse_min_n (UPDEC_SPARSE_MIN_N) they factor dense up front,
-  /// at or above it they stay CSR and solve with ILU-preconditioned Krylov.
-  la::RobustSolveOptions solver;
 };
 
 /// Velocity-pressure state of one flow solve.
@@ -121,8 +117,8 @@ class ChannelFlowSolver {
   [[nodiscard]] const la::CsrMatrix& dy_matrix() const { return dy_; }
   [[nodiscard]] const la::CsrMatrix& laplacian_matrix() const { return lap_; }
 
-  /// Pressure-Poisson operator (constant per cloud): dense LU below the
-  /// sparse-first threshold, CSR + ILU-Krylov above it.
+  /// Pressure-Poisson operator (constant per cloud), factored once as a
+  /// band LU.
   [[nodiscard]] const la::SparseFirstSolver& pressure_op() const {
     return pressure_op_;
   }
@@ -134,9 +130,7 @@ class ChannelFlowSolver {
     return momentum_op_;
   }
 
-  /// How the dense factorisations (when taken) were obtained (Tikhonov
-  /// shift applied?). Empty reports on the sparse Krylov path until a dense
-  /// fallback fires.
+  /// How the band factorisations were obtained (Tikhonov shift applied?).
   [[nodiscard]] la::FactorReport pressure_factor_report() const {
     return pressure_op_.factor_report();
   }

@@ -9,8 +9,7 @@ namespace updec::pde {
 
 HeatSolver::HeatSolver(const pc::PointCloud& cloud, const rbf::Kernel& kernel,
                        double alpha, double dt, double theta,
-                       const rbf::RbffdConfig& config,
-                       const la::RobustSolveOptions& solver)
+                       const rbf::RbffdConfig& config)
     : cloud_(&cloud), alpha_(alpha), dt_(dt), theta_(theta) {
   UPDEC_REQUIRE(alpha > 0.0 && dt > 0.0, "diffusivity and dt must be positive");
   UPDEC_REQUIRE(theta >= 0.0 && theta <= 1.0, "theta must be in [0, 1]");
@@ -42,7 +41,7 @@ HeatSolver::HeatSolver(const pc::PointCloud& cloud, const rbf::Kernel& kernel,
     // part -- the RHS carries the boundary datum directly.
   }
   explicit_part_ = la::CsrMatrix(explicit_part);
-  implicit_op_ = la::SparseFirstSolver(la::CsrMatrix(implicit_part), solver);
+  implicit_op_ = la::SparseFirstSolver(la::CsrMatrix(implicit_part));
 }
 
 la::Vector HeatSolver::step(const la::Vector& u, const HeatBoundary& boundary,

@@ -29,8 +29,7 @@ class HeatSolver {
   ///               spurious scattered-node modes).
   HeatSolver(const pc::PointCloud& cloud, const rbf::Kernel& kernel,
              double alpha, double dt, double theta = 0.55,
-             const rbf::RbffdConfig& config = {},
-             const la::RobustSolveOptions& solver = {});
+             const rbf::RbffdConfig& config = {});
 
   /// One theta-scheme step from u at time t; returns u at t + dt.
   [[nodiscard]] la::Vector step(const la::Vector& u,
@@ -58,8 +57,8 @@ class HeatSolver {
   [[nodiscard]] double dt() const { return dt_; }
   [[nodiscard]] double alpha() const { return alpha_; }
 
-  /// Implicit operator I - theta dt a L (identity on boundary rows): dense
-  /// LU below the sparse-first threshold, CSR + ILU-Krylov above it.
+  /// Implicit operator I - theta dt a L (identity on boundary rows),
+  /// factored once as a band LU.
   [[nodiscard]] const la::SparseFirstSolver& implicit_op() const {
     return implicit_op_;
   }

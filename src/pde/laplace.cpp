@@ -202,15 +202,12 @@ rbf::RbffdOperators make_fd_operators(
 }  // namespace
 
 LaplaceFdSolver::LaplaceFdSolver(std::size_t grid_n, const rbf::Kernel& kernel,
-                                 const rbf::RbffdConfig& config,
-                                 const la::RobustSolveOptions& solver)
-    : LaplaceFdSolver(pc::unit_square_grid(grid_n, grid_n), kernel, config,
-                      solver) {}
+                                 const rbf::RbffdConfig& config)
+    : LaplaceFdSolver(pc::unit_square_grid(grid_n, grid_n), kernel, config) {}
 
 LaplaceFdSolver::LaplaceFdSolver(pc::PointCloud cloud,
                                  const rbf::Kernel& kernel,
                                  const rbf::RbffdConfig& config,
-                                 const la::RobustSolveOptions& solver,
                                  const rbf::RbffdOperators* previous,
                                  const std::vector<std::ptrdiff_t>* old_index)
     : cloud_(std::move(cloud)),
@@ -265,7 +262,7 @@ LaplaceFdSolver::LaplaceFdSolver(pc::PointCloud cloud,
     scatter(r, dx, l, 1.0);
     scatter(r, dx, r, -1.0);
   }
-  op_ = la::SparseFirstSolver(la::CsrMatrix(system), solver);
+  op_ = la::SparseFirstSolver(la::CsrMatrix(system));
 
   top_nodes_ = cloud_.indices_with_tag(tags::kTop);
   std::sort(top_nodes_.begin(), top_nodes_.end(),
@@ -336,18 +333,6 @@ la::Vector LaplaceFdSolver::flux_top(const la::Vector& u) const {
     flux[i] = s;
   }
   return flux;
-}
-
-la::Vector LaplaceFdSolver::flux_top_adjoint(const la::Vector& y) const {
-  UPDEC_REQUIRE(y.size() == top_nodes_.size(),
-                "one weight per top-wall node required");
-  la::Vector out(cloud_.size(), 0.0);
-  for (std::size_t i = 0; i < top_nodes_.size(); ++i) {
-    const std::size_t row = top_nodes_[i];
-    for (std::size_t k = dy_.row_ptr()[row]; k < dy_.row_ptr()[row + 1]; ++k)
-      out[dy_.col_idx()[k]] += dy_.values()[k] * y[i];
-  }
-  return out;
 }
 
 la::Matrix LaplaceFdSolver::flux_top_many(const la::Matrix& u) const {

@@ -122,10 +122,9 @@ class LaplaceSolver {
 /// discretised with local stencils instead of global collocation, so the
 /// system matrix is sparse (one stencil-sized row per node) and unknowns are
 /// the nodal values themselves, not RBF coefficients. Solves route through
-/// la::SparseFirstSolver -- dense LU below the UPDEC_SPARSE_MIN_N threshold,
-/// ILU(0)-preconditioned Krylov above it -- which is what makes large-N
-/// Laplace sweeps affordable (the global collocation matrix is dense and
-/// O(N^3) to factor by construction).
+/// la::SparseFirstSolver's band LU, which is what makes large-N Laplace
+/// sweeps affordable (the global collocation matrix is dense and O(N^3) to
+/// factor by construction).
 ///
 /// Row layout (mirroring LaplaceSolver's laplace_row):
 ///   interior        RBF-FD Laplacian stencil row
@@ -136,8 +135,7 @@ class LaplaceSolver {
 class LaplaceFdSolver {
  public:
   LaplaceFdSolver(std::size_t grid_n, const rbf::Kernel& kernel,
-                  const rbf::RbffdConfig& config = {},
-                  const la::RobustSolveOptions& solver = {});
+                  const rbf::RbffdConfig& config = {});
 
   /// Build over an explicit (possibly adaptively refined) cloud. The cloud
   /// must carry the unit-square boundary layout of pc::unit_square_grid --
@@ -150,7 +148,6 @@ class LaplaceFdSolver {
   /// only where the neighbourhood changed.
   LaplaceFdSolver(pc::PointCloud cloud, const rbf::Kernel& kernel,
                   const rbf::RbffdConfig& config = {},
-                  const la::RobustSolveOptions& solver = {},
                   const rbf::RbffdOperators* previous = nullptr,
                   const std::vector<std::ptrdiff_t>* old_index = nullptr);
 
@@ -176,9 +173,9 @@ class LaplaceFdSolver {
     return operators_;
   }
 
-  /// The sparse-first operator (exposed for cache plumbing / benchmarks).
+  /// The factored system operator (exposed for the adjoint solves and
+  /// benchmarks).
   [[nodiscard]] const la::SparseFirstSolver& op() const { return op_; }
-  [[nodiscard]] la::SparseFirstSolver& op() { return op_; }
 
   /// Solve for the nodal state u (size = cloud().size()). Unlike
   /// LaplaceSolver::solve, the result is the field itself, not coefficients.
@@ -199,18 +196,11 @@ class LaplaceFdSolver {
   }
 
   /// Full RHS for a control vector (fixed-wall data + control scattered into
-  /// the top Dirichlet rows). Exposed so reduced-order callers (src/rom) can
-  /// route the assembled system through their own solve path while this
-  /// class keeps owning the boundary layout.
+  /// the top Dirichlet rows). Exposed so callers can replay the assembled
+  /// system through op() while this class keeps owning the boundary layout.
   [[nodiscard]] la::Vector rhs_for(const la::Vector& control) const {
     return assemble_rhs(control);
   }
-
-  /// Adjoint of flux_top: given one weight per top-wall node, returns
-  /// F^T y over all cloud nodes (F = the Dy stencil rows at the top nodes).
-  /// This is the dual-weight vector of a flux functional sum_i y_i (du/dy)_i,
-  /// which the ROM tier's dual-weighted residual estimator needs.
-  [[nodiscard]] la::Vector flux_top_adjoint(const la::Vector& y) const;
 
  private:
   [[nodiscard]] la::Vector assemble_rhs(const la::Vector& control) const;

@@ -44,7 +44,7 @@ AdaptiveLoop::AdaptiveLoop(std::size_t grid_n, const rbf::Kernel& kernel,
 AdaptiveResult AdaptiveLoop::run() const {
   UPDEC_TRACE_SCOPE("refine/adaptive_loop");
   auto problem = std::make_shared<rom::LaplaceFdControlProblem>(
-      grid_n_, *kernel_, options_.stencil, options_.solver);
+      grid_n_, *kernel_, options_.stencil);
   la::Vector control = problem->initial_control();
 
   AdaptiveResult result;
@@ -110,7 +110,7 @@ AdaptiveResult AdaptiveLoop::run() const {
     // the carried-over state's tracked cost on the new cloud (diagnostic --
     // the next optimize round re-solves from the transferred control).
     auto next = std::make_shared<rom::LaplaceFdControlProblem>(
-        std::move(adapted), *kernel_, options_.stencil, options_.solver,
+        std::move(adapted), *kernel_, options_.stencil,
         &problem->solver().operators(), &old_index);
     UPDEC_REQUIRE(next->control_size() == control.size(),
                   "adaptation must preserve the control layout");

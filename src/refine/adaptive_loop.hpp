@@ -27,7 +27,6 @@ struct AdaptiveOptions {
   IndicatorConfig indicator;
   control::DriverOptions driver;    ///< per-cycle optimize budget
   rbf::RbffdConfig stencil;
-  la::RobustSolveOptions solver;
   /// Learning-rate multiplier for warm-started cycles (>= 1): the carried
   /// control is already near the new cloud's optimum, and re-running the
   /// full-rate Adam schedule from a reset moment state was measured to walk

@@ -14,7 +14,7 @@
 /// where u is the converged discrete state, L_+ an ENRICHED RBF-FD
 /// Laplacian (larger stencil, higher appended degree) over the same cloud,
 /// f = 0 the interior source, and h_i the local spacing. The primal
-/// operator's own residual of its own solution is Krylov noise by
+/// operator's own residual of its own solution is solver round-off by
 /// construction; only an enriched operator sees the discretisation error.
 /// The h^2 factor is the nodal quadrature volume: it makes eta an error
 /// *contribution*, so already-refined regions self-limit. Boundary rows

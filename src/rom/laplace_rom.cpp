@@ -12,15 +12,14 @@ using pde::LaplaceSolver;
 
 LaplaceFdControlProblem::LaplaceFdControlProblem(
     std::size_t grid_n, const rbf::Kernel& kernel,
-    const rbf::RbffdConfig& config, const la::RobustSolveOptions& solver)
-    : solver_(grid_n, kernel, config, solver) {}
+    const rbf::RbffdConfig& config)
+    : solver_(grid_n, kernel, config) {}
 
 LaplaceFdControlProblem::LaplaceFdControlProblem(
     pc::PointCloud cloud, const rbf::Kernel& kernel,
-    const rbf::RbffdConfig& config, const la::RobustSolveOptions& solver,
-    const rbf::RbffdOperators* previous,
+    const rbf::RbffdConfig& config, const rbf::RbffdOperators* previous,
     const std::vector<std::ptrdiff_t>* old_index)
-    : solver_(std::move(cloud), kernel, config, solver, previous, old_index) {}
+    : solver_(std::move(cloud), kernel, config, previous, old_index) {}
 
 double LaplaceFdControlProblem::cost(const la::Vector& control) const {
   return cost_from_flux(solver_.flux_top(solver_.solve(control)));
@@ -39,8 +38,7 @@ double LaplaceFdControlProblem::cost_from_flux(const la::Vector& flux) const {
 
 namespace {
 
-/// Adjoint RHS shared by both strategies: the continuous adjoint problem
-/// has the same operator as the direct one, with top-wall Dirichlet data
+/// Adjoint RHS: the continuous adjoint problem has the same operator as the direct one, with top-wall Dirichlet data
 /// 2 (du/dy - target) and homogeneous data everywhere else.
 la::Vector adjoint_rhs(const pde::LaplaceFdSolver& solver,
                        const la::Vector& flux) {
@@ -64,9 +62,8 @@ la::Vector gradient_from_lambda_flux(const pde::LaplaceFdSolver& solver,
   return gradient;
 }
 
-/// DAL on the full sparse-first path: direct solve, continuous adjoint
-/// solve against the same operator, gradient = quadrature-weighted adjoint
-/// flux. The baseline for the ROM strategy below.
+/// DAL on the sparse path: direct solve, continuous adjoint solve against
+/// the same band factorisation, gradient = quadrature-weighted adjoint flux.
 class LaplaceFdDalStrategy final : public control::GradientStrategy {
  public:
   explicit LaplaceFdDalStrategy(
@@ -106,70 +103,11 @@ class LaplaceFdDalStrategy final : public control::GradientStrategy {
   control::AdjointObserver* observer_ = nullptr;
 };
 
-/// DAL with both solves routed through the RomSolver. Each solve carries
-/// the dual weight of its quantity of interest, so acceptance is judged on
-/// what the optimisation loop actually consumes:
-///   * direct solve: the cost J -- dual weight dJ/du = F^T (2 w (flux - t)),
-///     evaluated at the reduced candidate (exact for this quadratic J up to
-///     the candidate's own flux error);
-///   * adjoint solve: the gradient's quadrature functional -- constant dual
-///     weight F^T w.
-class LaplaceRomDalStrategy final : public control::GradientStrategy {
- public:
-  LaplaceRomDalStrategy(std::shared_ptr<const LaplaceFdControlProblem> p,
-                        std::shared_ptr<RomSolver> rom)
-      : problem_(std::move(p)), rom_(std::move(rom)) {
-    const auto& solver = problem_->solver();
-    adjoint_weight_ =
-        solver.flux_top_adjoint(solver.quadrature_weights());
-  }
-
-  [[nodiscard]] std::string name() const override { return "DAL-rom"; }
-
-  double value_and_gradient(const la::Vector& control,
-                            la::Vector& gradient) override {
-    const auto& solver = problem_->solver();
-    const la::Vector u = rom_->solve(
-        solver.rhs_for(control), [&solver](const la::Vector& candidate) {
-          const la::Vector flux = solver.flux_top(candidate);
-          const auto& w = solver.quadrature_weights();
-          const auto& xs = solver.top_x();
-          la::Vector y(flux.size());
-          for (std::size_t i = 0; i < flux.size(); ++i)
-            y[i] = 2.0 * w[i] *
-                   (flux[i] - LaplaceSolver::target_flux(xs[i]));
-          return solver.flux_top_adjoint(y);
-        });
-    const la::Vector flux = solver.flux_top(u);
-    const double j = problem_->cost_from_flux(flux);
-
-    const la::Vector lambda =
-        rom_->solve(adjoint_rhs(solver, flux),
-                    [this](const la::Vector&) { return adjoint_weight_; });
-    gradient = gradient_from_lambda_flux(solver, problem_->control_size(),
-                                         solver.flux_top(lambda));
-    return j;
-  }
-
- private:
-  std::shared_ptr<const LaplaceFdControlProblem> problem_;
-  std::shared_ptr<RomSolver> rom_;
-  la::Vector adjoint_weight_;  ///< F^T w, the adjoint solve's dual weight
-};
-
 }  // namespace
 
 std::unique_ptr<control::GradientStrategy> make_laplace_fd_dal(
     std::shared_ptr<const LaplaceFdControlProblem> problem) {
   return std::make_unique<LaplaceFdDalStrategy>(std::move(problem));
-}
-
-std::unique_ptr<control::GradientStrategy> make_laplace_rom_dal(
-    std::shared_ptr<const LaplaceFdControlProblem> problem,
-    std::shared_ptr<RomSolver> rom) {
-  UPDEC_REQUIRE(rom != nullptr, "make_laplace_rom_dal: rom solver required");
-  return std::make_unique<LaplaceRomDalStrategy>(std::move(problem),
-                                                 std::move(rom));
 }
 
 }  // namespace updec::rom

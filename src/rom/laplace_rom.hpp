@@ -1,20 +1,19 @@
 #pragma once
 /// \file laplace_rom.hpp
 /// \brief The Laplace boundary-control problem on the sparse RBF-FD path,
-///        with a DAL gradient strategy that routes both of its PDE solves
-///        (direct and continuous adjoint) through a shared RomSolver.
+///        with its DAL gradient strategy.
 ///
 /// The continuous adjoint of the Laplace control problem uses the SAME
 /// system operator as the direct problem -- only the Dirichlet data on the
-/// top wall changes -- so one POD basis per operator fingerprint serves
-/// both solve streams, and a warm serve batch amortises its basis across
-/// every DAL iteration of every job in the family.
+/// top wall changes -- so both solves of a DAL gradient reuse one band
+/// factorisation. (The file keeps the name of the reduced-order tier it
+/// once belonged to; the benchmark, bench_refine, the refinement oracle
+/// and serve's refined bundles include it by this path.)
 
 #include <memory>
 
 #include "control/problem.hpp"
 #include "pde/laplace.hpp"
-#include "rom/rom_solver.hpp"
 
 namespace updec::rom {
 
@@ -24,8 +23,7 @@ namespace updec::rom {
 class LaplaceFdControlProblem final : public control::ControlProblem {
  public:
   LaplaceFdControlProblem(std::size_t grid_n, const rbf::Kernel& kernel,
-                          const rbf::RbffdConfig& config = {},
-                          const la::RobustSolveOptions& solver = {});
+                          const rbf::RbffdConfig& config = {});
 
   /// Build over an explicit (e.g. adaptively refined) cloud; `previous` /
   /// `old_index` route stencil assembly through RbffdOperators' incremental
@@ -33,7 +31,6 @@ class LaplaceFdControlProblem final : public control::ControlProblem {
   /// contract.
   LaplaceFdControlProblem(pc::PointCloud cloud, const rbf::Kernel& kernel,
                           const rbf::RbffdConfig& config = {},
-                          const la::RobustSolveOptions& solver = {},
                           const rbf::RbffdOperators* previous = nullptr,
                           const std::vector<std::ptrdiff_t>* old_index =
                               nullptr);
@@ -51,25 +48,14 @@ class LaplaceFdControlProblem final : public control::ControlProblem {
   [[nodiscard]] double cost_from_flux(const la::Vector& flux) const;
 
   [[nodiscard]] const pde::LaplaceFdSolver& solver() const { return solver_; }
-  /// Mutable access for serve-layer cache plumbing (memoized ILU factors).
-  [[nodiscard]] pde::LaplaceFdSolver& solver() { return solver_; }
 
  private:
   pde::LaplaceFdSolver solver_;
 };
 
-/// DAL on the full sparse path (the baseline the ROM strategy is measured
-/// against in bench_rom and the rom_vs_full oracle).
+/// DAL on the sparse path: direct solve, continuous adjoint solve against
+/// the same operator, gradient = quadrature-weighted adjoint flux.
 [[nodiscard]] std::unique_ptr<control::GradientStrategy> make_laplace_fd_dal(
     std::shared_ptr<const LaplaceFdControlProblem> problem);
-
-/// DAL with both PDE solves routed through `rom`. Solves the RomSolver
-/// accepts stay in the reduced space; rejected ones escalate to the same
-/// full path make_laplace_fd_dal uses, so the strategy is never less
-/// accurate than the estimator's advertised tolerance. `rom` must front the
-/// problem's own operator (rom->operator_fingerprint() of solver().op()).
-[[nodiscard]] std::unique_ptr<control::GradientStrategy> make_laplace_rom_dal(
-    std::shared_ptr<const LaplaceFdControlProblem> problem,
-    std::shared_ptr<RomSolver> rom);
 
 }  // namespace updec::rom

@@ -1,6 +1,5 @@
 #include "serve/cache.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -268,58 +267,6 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
   return computed.value;
 }
 
-std::shared_ptr<const void> OperatorCache::try_get_erased(
-    const CacheKey& key,
-    const std::function<Computed(std::string_view)>& decode,
-    const char* klass) {
-  {
-    std::unique_lock lock(mutex_);
-    if (const auto it = index_.find(key); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++stats_.hits;
-      ++stats_.by_class[klass].hits;
-      UPDEC_METRIC_ADD("serve/cache.hits", 1);
-      return it->second->value;
-    }
-    ++stats_.misses;
-    ++stats_.by_class[klass].misses;
-    UPDEC_METRIC_ADD("serve/cache.misses", 1);
-  }
-  if (!decode || disk_ == nullptr || !disk_->enabled()) return nullptr;
-  std::string payload;
-  if (!disk_->load(key, payload)) return nullptr;
-  Computed computed;
-  try {
-    computed = decode(std::string_view(payload));
-  } catch (const std::exception& e) {
-    disk_->reject(key, e.what());
-    return nullptr;
-  }
-  if (computed.value == nullptr) return nullptr;
-  {
-    std::lock_guard lock(mutex_);
-    // Promote the disk entry into the LRU (another thread may have raced a
-    // put() in; store_locked then keeps the resident entry).
-    store_locked(key, computed, klass);
-  }
-  return computed.value;
-}
-
-void OperatorCache::put_erased(const CacheKey& key, Computed computed,
-                               const std::function<std::string()>& encode,
-                               const char* klass) {
-  UPDEC_REQUIRE(computed.value != nullptr,
-                "OperatorCache::put: null value");
-  {
-    std::lock_guard lock(mutex_);
-    if (const auto it = index_.find(key); it != index_.end())
-      erase_locked(it->second);  // replacement, not an eviction
-    store_locked(key, computed, klass);
-  }
-  if (encode && disk_ != nullptr && disk_->enabled())
-    disk_->store(key, encode());  // atomic overwrite (tmp + rename)
-}
-
 OperatorCache& global_cache() {
   // Leaked: jobs may still touch the cache from atexit dump paths.
   static OperatorCache* cache = new OperatorCache();
@@ -342,9 +289,6 @@ class PayloadWriter {
   void f64(double v) { bytes(&v, sizeof v); }
   void f64s(const double* data, std::size_t n) {
     bytes(data, n * sizeof(double));
-  }
-  void f32s(const float* data, std::size_t n) {
-    bytes(data, n * sizeof(float));
   }
   void indices(const std::vector<std::size_t>& v) {
     u64(v.size());
@@ -376,7 +320,6 @@ class PayloadReader {
     return v;
   }
   void f64s(double* out, std::size_t n) { bytes(out, n * sizeof(double)); }
-  void f32s(float* out, std::size_t n) { bytes(out, n * sizeof(float)); }
   std::vector<std::size_t> indices(std::size_t expected) {
     const std::uint64_t n = u64();
     UPDEC_REQUIRE(n == expected, "disk payload: index array size mismatch");
@@ -460,98 +403,6 @@ la::CsrMatrix decode_csr(std::string_view payload) {
                        std::move(values));
 }
 
-std::string encode_ilu0(const la::Ilu0& ilu) {
-  return encode_csr(ilu.factors());
-}
-
-la::Ilu0 decode_ilu0(std::string_view payload) {
-  return la::Ilu0::from_factors(decode_csr(payload));
-}
-
-std::string encode_ilu0_f32(const la::Ilu0& ilu) {
-  const la::CsrMatrix& lu = ilu.factors();
-  PayloadWriter w;
-  w.u64(lu.rows());
-  w.u64(lu.cols());
-  w.u64(lu.nnz());
-  w.indices(lu.row_ptr());
-  w.indices(lu.col_idx());
-  w.f32s(ilu.factors_f32().data(), ilu.factors_f32().size());
-  return w.take();
-}
-
-la::Ilu0 decode_ilu0_f32(std::string_view payload) {
-  PayloadReader r(payload);
-  const std::size_t rows = static_cast<std::size_t>(r.u64());
-  const std::size_t cols = static_cast<std::size_t>(r.u64());
-  const std::size_t nnz = static_cast<std::size_t>(r.u64());
-  std::vector<std::size_t> row_ptr = r.indices(rows + 1);
-  std::vector<std::size_t> col_idx = r.indices(nnz);
-  std::vector<float> values_f32(nnz);
-  r.f32s(values_f32.data(), nnz);
-  r.done();
-  UPDEC_REQUIRE(!row_ptr.empty() && row_ptr.front() == 0 &&
-                    row_ptr.back() == nnz,
-                "disk payload: inconsistent CSR row pointers");
-  for (std::size_t i = 0; i + 1 < row_ptr.size(); ++i)
-    UPDEC_REQUIRE(row_ptr[i] <= row_ptr[i + 1],
-                  "disk payload: CSR row pointers not monotone");
-  for (const std::size_t c : col_idx)
-    UPDEC_REQUIRE(c < cols, "disk payload: CSR column index out of range");
-  // Widen each stored float exactly; Ilu0::from_factors re-derives the fp32
-  // shadow from these doubles, reproducing the persisted floats bit-exactly.
-  std::vector<double> values(nnz);
-  for (std::size_t k = 0; k < nnz; ++k)
-    values[k] = static_cast<double>(values_f32[k]);
-  return la::Ilu0::from_factors(la::CsrMatrix(
-      rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values)));
-}
-
-std::size_t pod_basis_bytes(const rom::PodBasis& basis) {
-  return basis.modes.rows() * basis.modes.cols() * sizeof(double) +
-         basis.eigenvalues.size() * sizeof(double);
-}
-
-std::string encode_pod_basis(const rom::PodBasis& basis) {
-  PayloadWriter w;
-  w.u64(basis.n());
-  w.u64(basis.k());
-  w.u64(basis.snapshot_count);
-  w.f64s(basis.modes.data(), basis.n() * basis.k());
-  w.f64s(basis.eigenvalues.data(), basis.eigenvalues.size());
-  return w.take();
-}
-
-rom::PodBasis decode_pod_basis(std::string_view payload) {
-  PayloadReader r(payload);
-  const std::size_t n = static_cast<std::size_t>(r.u64());
-  const std::size_t k = static_cast<std::size_t>(r.u64());
-  rom::PodBasis basis;
-  basis.snapshot_count = static_cast<std::size_t>(r.u64());
-  UPDEC_REQUIRE(k <= n, "disk payload: pod-basis rank exceeds dimension");
-  basis.modes = la::Matrix(n, k);
-  r.f64s(basis.modes.data(), n * k);
-  basis.eigenvalues = la::Vector(k);
-  r.f64s(basis.eigenvalues.data(), k);
-  r.done();
-  // A checksum-clean payload can still be semantically bad (written by a
-  // buggy producer): reject anything that is not an orthonormal basis with
-  // finite, positive, descending energies rather than serving garbage.
-  for (std::size_t j = 0; j < k; ++j) {
-    UPDEC_REQUIRE(std::isfinite(basis.eigenvalues[j]) &&
-                      basis.eigenvalues[j] > 0.0,
-                  "disk payload: pod-basis eigenvalue not positive");
-    UPDEC_REQUIRE(j == 0 || basis.eigenvalues[j] <= basis.eigenvalues[j - 1],
-                  "disk payload: pod-basis eigenvalues not descending");
-  }
-  for (std::size_t i = 0; i < n * k; ++i)
-    UPDEC_REQUIRE(std::isfinite(basis.modes.data()[i]),
-                  "disk payload: pod-basis mode entry not finite");
-  UPDEC_REQUIRE(k == 0 || basis.orthonormality_defect() < 1e-6,
-                "disk payload: pod-basis modes not orthonormal");
-  return basis;
-}
-
 // ---- memoization helpers -------------------------------------------------
 
 std::shared_ptr<const la::LuFactorization> cached_lu(
@@ -609,78 +460,6 @@ std::size_t csr_bytes(const la::CsrMatrix& m) {
   return m.values().size() * sizeof(double) +
          m.col_idx().size() * sizeof(std::size_t) +
          m.row_ptr().size() * sizeof(std::size_t);
-}
-
-std::size_t ilu0_bytes(const la::Ilu0& ilu) {
-  // Factors share A's sparsity pattern; add the diagonal-position index.
-  return csr_bytes(ilu.factors()) + ilu.factors().rows() * sizeof(std::size_t);
-}
-
-std::shared_ptr<const la::Ilu0> cached_ilu0(OperatorCache& cache,
-                                            const la::CsrMatrix& a,
-                                            bool fp32_factors) {
-  // Distinct key domains: the fp32 artefact loses the low double bits, so it
-  // must never be served to (or overwrite) a caller expecting fp64 factors.
-  KeyBuilder kb(fp32_factors ? "ilu0-f32" : "ilu0");
-  kb.add(fingerprint(a));
-  kb.add(static_cast<std::uint64_t>(a.rows()));
-  const auto encode = fp32_factors ? encode_ilu0_f32 : encode_ilu0;
-  const auto decode = fp32_factors ? decode_ilu0_f32 : decode_ilu0;
-  return cache.get_or_compute_disk<la::Ilu0>(
-      kb.key(),
-      [&a] {
-        UPDEC_TRACE_SCOPE("serve/cache_ilu0");
-        auto ilu = std::make_shared<const la::Ilu0>(a);
-        const std::size_t bytes = ilu0_bytes(*ilu);
-        return OperatorCache::Sized<la::Ilu0>{std::move(ilu), bytes};
-      },
-      encode,
-      [decode](std::string_view payload) {
-        UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto ilu = std::make_shared<const la::Ilu0>(decode(payload));
-        return OperatorCache::Sized<la::Ilu0>{ilu, ilu0_bytes(*ilu)};
-      },
-      fp32_factors ? "ilu0-f32" : "ilu0");
-}
-
-void memoize_preconditioner(OperatorCache& cache, la::SparseFirstSolver& op) {
-  if (!op.valid() || !op.sparse_path()) return;
-  // The Krylov chain runs against the row-equilibrated operator, so the
-  // memoized factors must be computed from (and keyed on) that matrix. A
-  // mixed-precision solver gets the fp32 artefact variant -- install then
-  // wires its fp32 closure into stage 1 via options().mixed_precision.
-  op.install_preconditioner(cached_ilu0(cache, op.krylov_matrix(),
-                                        op.options().mixed_precision));
-}
-
-CacheKey pod_basis_key(std::uint64_t operator_fingerprint) {
-  KeyBuilder kb("pod-basis");
-  kb.add(operator_fingerprint);
-  return kb.key();
-}
-
-std::shared_ptr<const rom::PodBasis> cached_pod_basis(
-    OperatorCache& cache, std::uint64_t operator_fingerprint) {
-  return cache.try_get_disk<rom::PodBasis>(
-      pod_basis_key(operator_fingerprint),
-      [](std::string_view payload) {
-        UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto basis =
-            std::make_shared<const rom::PodBasis>(decode_pod_basis(payload));
-        return OperatorCache::Sized<rom::PodBasis>{basis,
-                                                   pod_basis_bytes(*basis)};
-      },
-      "pod-basis");
-}
-
-void store_pod_basis(OperatorCache& cache, std::uint64_t operator_fingerprint,
-                     const rom::PodBasis& basis) {
-  auto copy = std::make_shared<const rom::PodBasis>(basis);
-  const std::size_t bytes = pod_basis_bytes(*copy);
-  cache.put_disk<rom::PodBasis>(
-      pod_basis_key(operator_fingerprint),
-      OperatorCache::Sized<rom::PodBasis>{std::move(copy), bytes},
-      encode_pod_basis, "pod-basis");
 }
 
 }  // namespace updec::serve

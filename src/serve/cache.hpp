@@ -42,16 +42,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "la/iterative.hpp"
 #include "la/lu.hpp"
-#include "la/robust_solve.hpp"
 #include "la/sparse.hpp"
 #include "pointcloud/cloud.hpp"
 #include "rbf/collocation.hpp"
 #include "rbf/kernels.hpp"
 #include "rbf/operators.hpp"
 #include "rbf/rbffd.hpp"
-#include "rom/pod_basis.hpp"
 
 namespace updec::serve {
 
@@ -169,9 +166,8 @@ class DiskCache {
 class OperatorCache {
  public:
   /// Per-artefact-class accounting. Every lookup names its artefact class
-  /// (e.g. "lu", "ilu0", "pod-basis"); without this the pod-basis traffic
-  /// of the ROM tier would be indistinguishable from the LU rows it shares
-  /// the cache with.
+  /// (e.g. "lu", "bundle", "refined-bundle"), so the traffic of one class
+  /// is never hidden among the rows of another it shares the cache with.
   struct ClassStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -213,7 +209,7 @@ class OperatorCache {
   /// Sized<T>; it runs outside the cache lock. An exception thrown by the
   /// leader's compute propagates to every caller waiting on that key and
   /// nothing is cached. `klass` names the artefact class for per-class
-  /// stats accounting (a static string: "lu", "ilu0", "pod-basis", ...).
+  /// stats accounting (a static string: "lu", "bundle", "rbffd", ...).
   template <typename T, typename Fn>
   std::shared_ptr<const T> get_or_compute(const CacheKey& key, Fn&& compute,
                                           const char* klass = "other") {
@@ -262,59 +258,6 @@ class OperatorCache {
         klass);
   }
 
-  /// Probe the in-memory tier only: a hit refreshes LRU order and counts;
-  /// a miss counts and returns nullptr WITHOUT computing anything. For
-  /// artefacts that are published with put()/put_disk() rather than
-  /// computed on demand (the ROM tier's adaptively rebuilt pod-basis).
-  template <typename T>
-  [[nodiscard]] std::shared_ptr<const T> try_get(const CacheKey& key,
-                                                 const char* klass = "other") {
-    return std::static_pointer_cast<const T>(try_get_erased(key, {}, klass));
-  }
-
-  /// try_get() with the persistent tier underneath: a memory miss probes
-  /// the disk tier, and a verified entry is decoded and promoted into the
-  /// LRU (the warm-restart path). `decode` may throw updec::Error on a
-  /// malformed payload -- the disk entry is then rejected (deleted) and the
-  /// probe reports a miss. Never computes.
-  template <typename T, typename Dec>
-  [[nodiscard]] std::shared_ptr<const T> try_get_disk(
-      const CacheKey& key, Dec&& decode, const char* klass = "other") {
-    return std::static_pointer_cast<const T>(try_get_erased(
-        key,
-        [&decode](std::string_view payload) -> Computed {
-          Sized<T> sized = decode(payload);
-          return {std::static_pointer_cast<const void>(std::move(sized.value)),
-                  sized.bytes};
-        },
-        klass));
-  }
-
-  /// Insert or OVERWRITE the entry for `key` (get_or_compute can only fill
-  /// empty slots; rebuildable artefacts need replacement semantics).
-  template <typename T>
-  void put(const CacheKey& key, Sized<T> sized, const char* klass = "other") {
-    put_erased(key,
-               Computed{std::static_pointer_cast<const void>(
-                            std::move(sized.value)),
-                        sized.bytes},
-               {}, klass);
-  }
-
-  /// put() that also persists the payload to the disk tier (atomic
-  /// overwrite) when one is armed.
-  template <typename T, typename Enc>
-  void put_disk(const CacheKey& key, Sized<T> sized, Enc&& encode,
-                const char* klass = "other") {
-    const T& value = *sized.value;
-    put_erased(key,
-               Computed{std::static_pointer_cast<const void>(
-                            std::move(sized.value)),
-                        sized.bytes},
-               [&encode, &value]() -> std::string { return encode(value); },
-               klass);
-  }
-
   /// Probe without computing (testing / diagnostics). Does not count as a
   /// hit and does not touch LRU order.
   [[nodiscard]] bool contains(const CacheKey& key) const;
@@ -348,20 +291,11 @@ class OperatorCache {
   std::shared_ptr<const void> get_or_compute_erased(
       const CacheKey& key, const std::function<Computed()>& compute,
       const char* klass);
-  /// Probe memory (then disk via `decode`, when non-empty); never computes.
-  std::shared_ptr<const void> try_get_erased(
-      const CacheKey& key,
-      const std::function<Computed(std::string_view)>& decode,
-      const char* klass);
-  /// Insert/overwrite; `encode` (when non-empty) feeds the disk tier.
-  void put_erased(const CacheKey& key, Computed computed,
-                  const std::function<std::string()>& encode,
-                  const char* klass);
   /// Insert under the budget, evicting LRU tail entries. Caller holds mutex_.
   void store_locked(const CacheKey& key, const Computed& computed,
                     const char* klass);
   /// Drop `it`'s entry and fix the byte/entry/class accounting. Caller
-  /// holds mutex_. Does NOT count an eviction (used by put overwrite too).
+  /// holds mutex_. Does NOT count an eviction.
   void erase_locked(std::list<Entry>::iterator it);
 
   mutable std::mutex mutex_;
@@ -382,7 +316,7 @@ OperatorCache& global_cache();
 
 // ---- disk-tier codecs ----------------------------------------------------
 // Byte-exact binary round trips for the artefacts worth persisting: the
-// O(N^3) dense LU, RBF-FD stencil weight matrices and ILU(0) factors.
+// O(N^3) dense LU and RBF-FD stencil weight matrices.
 // decode_* throw updec::Error on malformed payloads (inconsistent sizes),
 // which get_or_compute_disk treats as corruption: drop and recompute.
 
@@ -390,17 +324,6 @@ OperatorCache& global_cache();
 [[nodiscard]] la::LuFactorization decode_lu(std::string_view payload);
 [[nodiscard]] std::string encode_csr(const la::CsrMatrix& m);
 [[nodiscard]] la::CsrMatrix decode_csr(std::string_view payload);
-[[nodiscard]] std::string encode_ilu0(const la::Ilu0& ilu);
-[[nodiscard]] la::Ilu0 decode_ilu0(std::string_view payload);
-
-/// \brief fp32-factor variant of the ILU(0) codec (mixed-precision serving):
-/// the sparsity pattern is stored exactly as encode_ilu0, but values are the
-/// factorisation's fp32 shadow (Ilu0::factors_f32), halving the artefact
-/// size. The round trip is bit-exact for the fp32 values -- decode widens
-/// each float to double and Ilu0::from_factors regenerates an identical
-/// fp32 shadow, since double(float(v)) is exact.
-[[nodiscard]] std::string encode_ilu0_f32(const la::Ilu0& ilu);
-[[nodiscard]] la::Ilu0 decode_ilu0_f32(std::string_view payload);
 
 // ---- high-level memoization helpers --------------------------------------
 
@@ -423,59 +346,7 @@ void memoize_lu(OperatorCache& cache, rbf::GlobalCollocation& colloc);
     OperatorCache& cache, const rbf::RbffdOperators& ops,
     const rbf::LinearOp& op);
 
-/// Resident sizes of the sparse artefacts.
+/// Resident size of a sparse artefact.
 [[nodiscard]] std::size_t csr_bytes(const la::CsrMatrix& m);
-[[nodiscard]] std::size_t ilu0_bytes(const la::Ilu0& ilu);
-
-/// \brief ILU(0) factors of a CSR operator, memoized under its content
-/// fingerprint. A warm scenario batch that re-assembles the same sparse
-/// operator skips the incomplete factorisation entirely.
-///
-/// `fp32_factors` selects the mixed-precision artefact variant: it keys
-/// under the distinct domain "ilu0-f32" (so fp64 and fp32 artefacts for the
-/// same operator never alias in memory or on disk) and persists through the
-/// half-size encode_ilu0_f32 codec. The fp32 shadow (what the mixed chain
-/// actually applies) round trips bit-exactly through disk; a warm-restart
-/// decode rebuilds the fp64 values by widening, which is fine for a
-/// preconditioner -- inexactness costs Krylov iterations, never correctness,
-/// and the fp64 refinement retry still verifies true fp64 residuals.
-[[nodiscard]] std::shared_ptr<const la::Ilu0> cached_ilu0(
-    OperatorCache& cache, const la::CsrMatrix& a, bool fp32_factors = false);
-
-/// cached_ilu0() + install: after this call, a sparse-path solver runs its
-/// Krylov chain against the memoized preconditioner. No-op when the solver
-/// took the dense path (its eager LU makes the ILU irrelevant). Solvers
-/// with RobustSolveOptions::mixed_precision set memoize the fp32-factor
-/// artefact variant.
-void memoize_preconditioner(OperatorCache& cache, la::SparseFirstSolver& op);
-
-// ---- pod-basis artefact class (ROM tier) ---------------------------------
-// The POD basis is unlike the LU/CSR/ILU artefacts: it is not a pure
-// function of its key (the ROM tier rebuilds it as enrichment snapshots
-// arrive), so it flows through try_get/put replacement semantics instead of
-// get_or_compute. Same bit-exact codec discipline and the same
-// corruption-handling ladder: checksum failures are handled by DiskCache,
-// decode failures reject the entry, and either way the tier recomputes.
-
-/// Resident size of a basis: modes + eigenvalues.
-[[nodiscard]] std::size_t pod_basis_bytes(const rom::PodBasis& basis);
-
-[[nodiscard]] std::string encode_pod_basis(const rom::PodBasis& basis);
-[[nodiscard]] rom::PodBasis decode_pod_basis(std::string_view payload);
-
-/// Content address of the pod-basis artefact for one operator fingerprint
-/// (domain "pod-basis", so it never aliases the operator's LU/ILU rows).
-[[nodiscard]] CacheKey pod_basis_key(std::uint64_t operator_fingerprint);
-
-/// Warm-restart probe: the persisted basis for `operator_fingerprint`, from
-/// memory or the disk tier (promoted into the LRU), or nullptr. Never
-/// computes -- a missing basis is simply relearned from snapshots.
-[[nodiscard]] std::shared_ptr<const rom::PodBasis> cached_pod_basis(
-    OperatorCache& cache, std::uint64_t operator_fingerprint);
-
-/// Publish (insert or overwrite) the basis artefact after a (re)build, so
-/// the next process warm-restarts from the adapted basis.
-void store_pod_basis(OperatorCache& cache, std::uint64_t operator_fingerprint,
-                     const rom::PodBasis& basis);
 
 }  // namespace updec::serve

@@ -16,9 +16,7 @@
 #include "control/laplace_problem.hpp"
 #include "pointcloud/generators.hpp"
 #include "refine/adaptive_loop.hpp"
-#include "rom/config.hpp"
 #include "rom/laplace_rom.hpp"
-#include "rom/snapshot_bank.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
@@ -129,64 +127,6 @@ std::shared_ptr<const LaplaceBundle> laplace_bundle(OperatorCache& cache,
       "bundle");
 }
 
-/// The reduced-order family bundle: the sparse (RBF-FD) Laplace problem plus
-/// the shared SnapshotBank + RomSolver every DAL job of the family routes
-/// through. The RomSolver is internally synchronised, so one bundle serves
-/// concurrent jobs; sharing is the whole point -- each job's escalations
-/// enrich the basis the NEXT job's iterations solve against.
-struct LaplaceRomBundle {
-  std::unique_ptr<const rbf::Kernel> kernel;
-  std::shared_ptr<rom::LaplaceFdControlProblem> problem;
-  std::unique_ptr<rom::SnapshotBank> bank;
-  std::shared_ptr<rom::RomSolver> rom;
-};
-
-std::shared_ptr<const LaplaceRomBundle> laplace_rom_bundle(
-    OperatorCache& cache, const Scenario& sc, const rom::RomConfig& rc) {
-  const rbf::PolyharmonicSpline probe_kernel(3);
-  KeyBuilder kb("laplace-rom-bundle");
-  kb.add(static_cast<std::uint64_t>(sc.grid_n));
-  kb.add(fingerprint(probe_kernel));
-  // The ROM knobs shape the solver's behaviour, not just its speed, so two
-  // configurations never share a bundle (or its accumulated snapshots).
-  kb.add(rc.tol);
-  kb.add(static_cast<std::uint64_t>(rc.max_k));
-  kb.add(static_cast<std::uint64_t>(rc.min_snapshots));
-  return cache.get_or_compute<LaplaceRomBundle>(
-      kb.key(),
-      [&cache, &sc, &rc] {
-        UPDEC_TRACE_SCOPE("serve/build_laplace_rom_bundle");
-        auto bundle = std::make_shared<LaplaceRomBundle>();
-        bundle->kernel = std::make_unique<rbf::PolyharmonicSpline>(3);
-        bundle->problem = std::make_shared<rom::LaplaceFdControlProblem>(
-            sc.grid_n, *bundle->kernel);
-        la::SparseFirstSolver& op = bundle->problem->solver().op();
-        // Escalated solves run the full Krylov chain -- give them the
-        // memoized ILU factors like any other sparse-path consumer.
-        memoize_preconditioner(cache, op);
-        const std::uint64_t fp = fingerprint(op.matrix());
-        bundle->bank = std::make_unique<rom::SnapshotBank>(rc.snapshot_bytes);
-        bundle->rom = std::make_shared<rom::RomSolver>(op, *bundle->bank, fp,
-                                                       rc);
-        // Warm restart: adopt the persisted basis for this operator if one
-        // survives in the cache (memory or disk), and persist every rebuild
-        // so the NEXT process starts where this one left off. The cache
-        // outlives the bundle (it owns it), so the raw pointer is safe.
-        if (auto persisted = cached_pod_basis(cache, fp))
-          bundle->rom->install_basis(std::move(persisted));
-        OperatorCache* cache_ptr = &cache;
-        bundle->rom->on_basis_rebuilt(
-            [cache_ptr, fp](const rom::PodBasis& basis) {
-              store_pod_basis(*cache_ptr, fp, basis);
-            });
-        const std::size_t bytes =
-            csr_bytes(op.matrix()) + rc.snapshot_bytes / 4;
-        return OperatorCache::Sized<LaplaceRomBundle>{std::move(bundle),
-                                                      bytes};
-      },
-      "rom-bundle");
-}
-
 /// The adaptively refined family bundle: the cloud grown by
 /// refine::AdaptiveLoop from the scenario's base grid, wrapped as a sparse
 /// Laplace problem ready for per-job DAL runs. The adaptation itself runs
@@ -255,32 +195,14 @@ Built build_job(const Scenario& sc, OperatorCache& cache) {
   Built built;
   if (sc.problem == ProblemKind::kLaplace) {
     if (sc.strategy == Strategy::kDal && sc.refine_cycles > 0) {
-      // Refined-cloud serving: the job runs full DAL on the adapted cloud.
-      // Takes precedence over the ROM reroute -- the ROM bundle's POD basis
-      // belongs to the uniform operator and must not be mixed with a
-      // refined discretisation.
+      // Refined-cloud serving: the job runs DAL on the adapted cloud, whose
+      // band factorisation the bundle holds in memory.
       std::shared_ptr<const LaplaceRefinedBundle> bundle =
           laplace_refined_bundle(cache, sc);
       built.strategy = rom::make_laplace_fd_dal(bundle->problem);
       built.problem = bundle->problem;
       built.keepalive = bundle;
       return built;
-    }
-    if (sc.strategy == Strategy::kDal) {
-      // UPDEC_ROM=1 reroutes Laplace DAL jobs through the reduced-order
-      // tier: same cost functional, but the inner PDE solves go to a shared
-      // POD/Galerkin solver that escalates to the full sparse path whenever
-      // its error estimate misses UPDEC_ROM_TOL.
-      const rom::RomConfig rc = rom::config_from_env();
-      if (rc.enabled) {
-        std::shared_ptr<const LaplaceRomBundle> bundle =
-            laplace_rom_bundle(cache, sc, rc);
-        built.strategy = rom::make_laplace_rom_dal(bundle->problem,
-                                                   bundle->rom);
-        built.problem = bundle->problem;
-        built.keepalive = bundle;
-        return built;
-      }
     }
     std::shared_ptr<const LaplaceBundle> bundle = laplace_bundle(cache, sc);
     std::shared_ptr<const control::LaplaceControlProblem> problem =

@@ -12,8 +12,10 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -299,6 +301,10 @@ struct ShardPool::Impl {
       log_warn() << "shard: socketpair failed: " << std::strerror(errno);
       return false;
     }
+    // Flush stdio first: the child inherits unwritten buffers, and its first
+    // log line on std::cerr (tied to std::cout) would write them again.
+    std::cout.flush();
+    std::fflush(nullptr);
     const pid_t pid = ::fork();
     if (pid < 0) {
       log_warn() << "shard: fork failed: " << std::strerror(errno);
@@ -636,6 +642,10 @@ ShardPool::ShardPool(ShardOptions options) : impl_(new Impl) {
           }
         }
       }
+      // Status transitions picked in phase 1 (kRunning at dispatch) are
+      // delivered in phase 5: do not block before getting there, or a job
+      // reads kPending until its result wakes this loop.
+      if (!resolutions.empty()) timeout_ms = 0;
       int rc;
       do {
         rc = ::poll(pfds.data(), pfds.size(), timeout_ms);

@@ -4,7 +4,7 @@
 ///        operator fingerprint, stream results back asynchronously.
 ///
 /// Why processes, not more threads: each worker owns a private in-memory
-/// OperatorCache LRU (and ROM bundles) that stays hot for the scenario
+/// OperatorCache LRU (and problem bundles) that stays hot for the scenario
 /// families routed to it, while the UPDEC_CACHE_DIR disk tier remains the
 /// shared cross-process currency -- a stolen job pays one disk-tier warm
 /// instead of a full recompute. A crashed or stalled worker takes down one

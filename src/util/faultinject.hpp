@@ -3,20 +3,20 @@
 /// \brief Deterministic fault-injection sites for resilience testing.
 ///
 /// Long optimisation runs chain hundreds of linear solves; the recovery
-/// paths for a stalled GMRES, a singular pivot or a NaN gradient must be
+/// paths for a singular pivot, a NaN solution or a NaN gradient must be
 /// *exercised by tests*, not hoped for. Library code marks recoverable
 /// failure sites with
 ///
-///   if (UPDEC_FAULT_POINT("gmres.converge")) { /* simulate the failure */ }
+///   if (UPDEC_FAULT_POINT("lu.singular_pivot")) { /* simulate the failure */ }
 ///
 /// Sites are disabled by default and the macro reduces to one relaxed
 /// atomic load, so instrumented hot paths stay free. Faults are armed
 /// either programmatically (fault::arm) or through the UPDEC_FAULTS
 /// environment variable, e.g.
 ///
-///   UPDEC_FAULTS="gmres.converge:2,driver.nan_gradient"
+///   UPDEC_FAULTS="lu.singular_pivot:2,driver.nan_gradient"
 ///
-/// arms "gmres.converge" for its next two hits and "driver.nan_gradient"
+/// arms "lu.singular_pivot" for its next two hits and "driver.nan_gradient"
 /// for one. Armed counts decrement deterministically per hit, so a given
 /// arming reproduces the same failure sequence on every run. Defining
 /// UPDEC_DISABLE_FAULT_INJECTION compiles every site out entirely.

@@ -22,7 +22,7 @@
 ///
 /// Instrumentation sites use the macros, never the functions directly:
 ///
-///   UPDEC_METRIC_ADD("la/gmres.iterations", res.iterations);
+///   UPDEC_METRIC_ADD("pde/laplace_fd.solves", k);
 ///   UPDEC_METRIC_GAUGE_MAX("autodiff/tape.peak_bytes", tape.memory_bytes());
 ///   UPDEC_METRIC_OBSERVE("control/driver.iteration_seconds", dt);
 ///

@@ -1,24 +1,23 @@
-// Unit and property tests for CSR sparse matrices and Krylov solvers.
+// Unit and property tests for CSR sparse matrices and the band LU behind
+// SparseFirstSolver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <numeric>
 
-#ifdef UPDEC_HAVE_OPENMP
-#include <omp.h>
-#endif
-
+#include "la/band.hpp"
 #include "la/blas.hpp"
-#include "la/iterative.hpp"
 #include "la/lu.hpp"
 #include "la/robust_solve.hpp"
 #include "la/sparse.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using updec::la::BandLu;
 using updec::la::CsrMatrix;
-using updec::la::IterativeOptions;
 using updec::la::Matrix;
 using updec::la::SparseBuilder;
 using updec::la::Vector;
@@ -99,186 +98,6 @@ TEST(Csr, SpmvAccumulatesWithBeta) {
   EXPECT_DOUBLE_EQ(y[1], 10.0);  // -1 + 2 - 1 = 0, +10
 }
 
-TEST(IterativeCg, SolvesPoissonToTightResidual) {
-  const std::size_t n = 100;
-  const CsrMatrix a = poisson_1d(n);
-  Vector b(n, 1.0);
-  const auto res = updec::la::cg(a, b);
-  EXPECT_TRUE(res.converged);
-  Vector r = b;
-  a.spmv(-1.0, res.x, 1.0, r);
-  EXPECT_LT(updec::la::nrm2(r), 1e-8);
-}
-
-TEST(IterativeCg, JacobiPreconditionerReducesIterations) {
-  const std::size_t n = 200;
-  // Badly scaled SPD system: D^{1/2} Poisson D^{1/2}.
-  SparseBuilder sb(n, n);
-  const CsrMatrix p = poisson_1d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double di = 1.0 + 100.0 * static_cast<double>(i) / n;
-    for (std::size_t k = p.row_ptr()[i]; k < p.row_ptr()[i + 1]; ++k) {
-      const std::size_t j = p.col_idx()[k];
-      const double dj = 1.0 + 100.0 * static_cast<double>(j) / n;
-      sb.add(i, j, std::sqrt(di) * p.values()[k] * std::sqrt(dj));
-    }
-  }
-  const CsrMatrix a(sb);
-  const Vector b(n, 1.0);
-  IterativeOptions opts;
-  opts.max_iterations = 5000;
-  const auto plain = updec::la::cg(a, b, opts);
-  const auto precond =
-      updec::la::cg(a, b, opts, updec::la::jacobi_preconditioner(a));
-  EXPECT_TRUE(plain.converged);
-  EXPECT_TRUE(precond.converged);
-  EXPECT_LE(precond.iterations, plain.iterations);
-}
-
-TEST(IterativeBicgstab, SolvesNonsymmetricSystem) {
-  const std::size_t n = 150;
-  const CsrMatrix a = convection_diffusion_1d(n, 0.4);
-  Vector b(n, 1.0);
-  const auto res = updec::la::bicgstab(a, b);
-  EXPECT_TRUE(res.converged);
-  Vector r = b;
-  a.spmv(-1.0, res.x, 1.0, r);
-  EXPECT_LT(updec::la::nrm2(r), 1e-8);
-}
-
-TEST(IterativeGmres, SolvesNonsymmetricSystem) {
-  const std::size_t n = 150;
-  const CsrMatrix a = convection_diffusion_1d(n, 0.7);
-  Vector b(n);
-  updec::Rng rng(31);
-  for (auto& v : b) v = rng.normal();
-  const auto res = updec::la::gmres(a, b);
-  EXPECT_TRUE(res.converged);
-  Vector r = b;
-  a.spmv(-1.0, res.x, 1.0, r);
-  EXPECT_LT(updec::la::nrm2(r), 1e-7);
-}
-
-TEST(IterativeGmres, MatchesDirectSolve) {
-  const std::size_t n = 40;
-  const CsrMatrix a = convection_diffusion_1d(n, 0.3);
-  Vector b(n, 1.0);
-  const auto res = updec::la::gmres(a, b);
-  const Vector x_direct = updec::la::solve(a.to_dense(), b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(res.x[i], x_direct[i], 1e-6);
-}
-
-TEST(Ilu0, ExactForTriangularPattern) {
-  // ILU(0) on a matrix whose LU factors fit the pattern is an exact solve.
-  const CsrMatrix a = poisson_1d(30);
-  const updec::la::Ilu0 ilu(a);
-  Vector b(30, 1.0);
-  Vector z(30);
-  ilu.apply(b, z);
-  // Tridiagonal: ILU(0) == full LU, so A z == b.
-  Vector r = b;
-  a.spmv(-1.0, z, 1.0, r);
-  EXPECT_LT(updec::la::nrm2(r), 1e-10);
-}
-
-TEST(Ilu0, AcceleratesGmres) {
-  const std::size_t n = 300;
-  const CsrMatrix a = convection_diffusion_1d(n, 0.8);
-  const Vector b(n, 1.0);
-  IterativeOptions opts;
-  opts.max_iterations = 2000;
-  const auto plain = updec::la::gmres(a, b, opts);
-  const updec::la::Ilu0 ilu(a);
-  const auto pre = updec::la::gmres(a, b, opts, ilu.as_preconditioner());
-  EXPECT_TRUE(pre.converged);
-  EXPECT_LT(pre.iterations, plain.iterations);
-}
-
-TEST(Iterative, WarmStartConvergesImmediately) {
-  const std::size_t n = 50;
-  const CsrMatrix a = poisson_1d(n);
-  const Vector b(n, 1.0);
-  const auto first = updec::la::cg(a, b);
-  const auto warm = updec::la::cg(a, b, {}, updec::la::identity_preconditioner(),
-                                  first.x);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_LE(warm.iterations, 2u);
-}
-
-// Property sweep over Krylov solvers: all three agree on an SPD system.
-class KrylovAgreement : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(KrylovAgreement, AllSolversAgree) {
-  const std::size_t n = GetParam();
-  const CsrMatrix a = poisson_1d(n);
-  Vector b(n);
-  updec::Rng rng(n);
-  for (auto& v : b) v = rng.normal();
-  IterativeOptions opts;
-  opts.max_iterations = 10 * n;
-  opts.gmres_restart = n;  // unrestarted: restarts stagnate on 1-D Poisson
-  const auto x_cg = updec::la::cg(a, b, opts);
-  const auto x_bi = updec::la::bicgstab(a, b, opts);
-  const auto x_gm = updec::la::gmres(a, b, opts);
-  ASSERT_TRUE(x_cg.converged);
-  ASSERT_TRUE(x_bi.converged);
-  ASSERT_TRUE(x_gm.converged);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x_cg.x[i], x_bi.x[i], 1e-5);
-    EXPECT_NEAR(x_cg.x[i], x_gm.x[i], 1e-5);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, KrylovAgreement,
-                         ::testing::Values(5, 16, 64, 128));
-
-TEST(IterativeBicgstab, BreakdownReportsActualIterationCount) {
-  // Skew-symmetric operator: r_hat . (A r_hat) == 0, so BiCGSTAB breaks down
-  // on its very first step (rhat_v == 0). Regression: every breakdown path
-  // used to fall through to res.iterations = opts.max_iterations, reporting
-  // a step-0 breakdown as a full-budget Krylov run.
-  SparseBuilder builder(2, 2);
-  builder.add(0, 1, 1.0);
-  builder.add(1, 0, -1.0);
-  const CsrMatrix a(builder);
-  const Vector b{1.0, 0.0};
-  IterativeOptions opts;
-  opts.max_iterations = 500;
-  const auto res = updec::la::bicgstab(a, b, opts);
-  EXPECT_TRUE(res.breakdown);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.iterations, 0u);  // no update step completed
-}
-
-TEST(IterativeBicgstab, ConvergedSolveReportsNoBreakdown) {
-  const CsrMatrix a = poisson_1d(40);
-  const Vector b(40, 1.0);
-  const auto res = updec::la::bicgstab(a, b);
-  EXPECT_TRUE(res.converged);
-  EXPECT_FALSE(res.breakdown);
-  EXPECT_LT(res.iterations, IterativeOptions{}.max_iterations);
-}
-
-TEST(Ilu0, CopiesShareFactors) {
-  // Regression: as_preconditioner() used to deep-copy the CSR factors into
-  // the closure (and copies of Ilu0 duplicated them again), doubling the
-  // resident bytes of every cached preconditioner. Factors are now shared.
-  const updec::la::Ilu0 original(poisson_1d(25));
-  const updec::la::Ilu0 copy = original;
-  EXPECT_EQ(&original.factors(), &copy.factors());
-
-  // The closure keeps the shared factors alive past the source object.
-  updec::la::Preconditioner precond;
-  {
-    const updec::la::Ilu0 temporary(poisson_1d(25));
-    precond = temporary.as_preconditioner();
-  }
-  const Vector r(25, 1.0);
-  Vector z(25);
-  precond(r, z);
-  for (const double v : z.std()) EXPECT_TRUE(std::isfinite(v));
-}
-
 TEST(CsrProduct, MultiplyMatchesDenseGemm) {
   updec::Rng rng(91);
   SparseBuilder ab(12, 12), bb(12, 12);
@@ -332,59 +151,133 @@ TEST(Csr, ApplyManyMatchesColumnwiseSpmv) {
   }
 }
 
+// ---- band LU ----------------------------------------------------------------
+
+/// 5-point Laplacian on an m-by-m grid (n = m^2), optionally with its
+/// unknowns relabelled by `shuffle` (a permutation), so the natural ordering
+/// carries no bandwidth information.
+CsrMatrix poisson_2d(std::size_t m, const std::vector<std::size_t>* shuffle =
+                                        nullptr) {
+  const std::size_t n = m * m;
+  const auto label = [&](std::size_t r) {
+    return shuffle != nullptr ? (*shuffle)[r] : r;
+  };
+  SparseBuilder b(n, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t r = i * m + j;
+      b.add(label(r), label(r), 4.0);
+      if (j > 0) b.add(label(r), label(r - 1), -1.0);
+      if (j + 1 < m) b.add(label(r), label(r + 1), -1.0);
+      if (i > 0) b.add(label(r), label(r - m), -1.0);
+      if (i + 1 < m) b.add(label(r), label(r + m), -1.0);
+    }
+  }
+  return CsrMatrix(b);
+}
+
+Vector random_rhs(std::size_t n, std::uint64_t seed) {
+  updec::Rng rng(seed);
+  Vector b(n);
+  for (auto& v : b) v = rng.normal();
+  return b;
+}
+
+Matrix transpose_of(const Matrix& a) {
+  Matrix t(a.cols(), a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  return t;
+}
+
+TEST(BandLu, RcmOrderingNarrowsAShuffledGrid) {
+  const std::size_t m = 12;
+  std::vector<std::size_t> shuffle(m * m);
+  std::iota(shuffle.begin(), shuffle.end(), std::size_t{0});
+  updec::Rng rng(5);
+  for (std::size_t i = shuffle.size(); i-- > 1;)
+    std::swap(shuffle[i], shuffle[rng.uniform_index(i + 1)]);
+  const CsrMatrix a = poisson_2d(m, &shuffle);
+
+  const std::vector<std::size_t> order = updec::la::rcm_ordering(a);
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t k = 0; k < sorted.size(); ++k) ASSERT_EQ(sorted[k], k);
+
+  // A breadth-first ordering of an m x m grid has bandwidth about m; the
+  // shuffled labels span nearly the whole matrix.
+  const BandLu lu(a);
+  EXPECT_LE(lu.lower_bandwidth(), m + 1);
+  EXPECT_LE(lu.upper_bandwidth(), m + 1);
+  const Vector b = random_rhs(m * m, 3);
+  const Vector x = lu.solve(b);
+  const Vector x_ref = updec::la::solve(a.to_dense(), b);
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-12);
+}
+
+TEST(BandLu, PivotsPastZeroDiagonalsAndSeparateComponents) {
+  // Two disconnected blocks; every diagonal entry of the first is zero, so
+  // each column must take its pivot from below the diagonal.
+  const std::size_t n = 20;
+  SparseBuilder builder(2 * n, 2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 1 < n) builder.add(i, i + 1, 1.0 + 0.1 * static_cast<double>(i));
+    if (i > 0) builder.add(i, i - 1, 2.0);
+    builder.add(n + i, n + i, 3.0);
+    if (i > 0) builder.add(n + i, n + i - 1, -1.0);
+  }
+  builder.add(n - 1, n - 1, 0.5);  // keep the first block nonsingular
+  const CsrMatrix a(builder);
+  const BandLu lu(a);
+  const Matrix ad = a.to_dense();
+  const Vector b = random_rhs(2 * n, 11);
+  const Vector x = lu.solve(b);
+  const Vector xt = lu.solve_transpose(b);
+  const Vector x_ref = updec::la::solve(ad, b);
+  const Vector xt_ref = updec::la::solve(transpose_of(ad), b);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    EXPECT_NEAR(x[i], x_ref[i], 1e-10 * (1.0 + std::abs(x_ref[i])));
+    EXPECT_NEAR(xt[i], xt_ref[i], 1e-10 * (1.0 + std::abs(xt_ref[i])));
+  }
+}
+
+TEST(BandLu, ZeroPivotThrows) {
+  SparseBuilder builder(3, 3);
+  builder.add(0, 0, 1.0);
+  builder.add(1, 0, 1.0);  // row 2 and column 2 empty: singular
+  EXPECT_THROW((void)BandLu(CsrMatrix(builder)), updec::Error);
+}
+
 // ---- SparseFirstSolver ----------------------------------------------------
 
-TEST(SparseFirst, ForcedModesAgreeWithDenseSolve) {
+TEST(SparseFirst, BandSolveAgreesWithDenseSolve) {
   const std::size_t n = 80;
   const CsrMatrix a = convection_diffusion_1d(n, 0.4);
-  Vector b(n);
-  updec::Rng rng(17);
-  for (auto& v : b) v = rng.normal();
+  const Vector b = random_rhs(n, 17);
   const Vector x_ref = updec::la::solve(a.to_dense(), b);
 
-  updec::la::RobustSolveOptions options;
-  options.sparse_min_n = 0;  // force CSR + ILU-Krylov
-  const updec::la::SparseFirstSolver sparse(a, options);
-  EXPECT_TRUE(sparse.sparse_path());
+  const updec::la::SparseFirstSolver solver(a);
   updec::la::SolveReport report;
-  const Vector x_sparse = sparse.solve(b, &report);
+  const Vector x = solver.solve(b, &report);
   EXPECT_TRUE(report.converged);
-  EXPECT_EQ(report.method, updec::la::SolveMethod::kIterative);
-
-  options.sparse_min_n = n + 1;  // force eager dense LU
-  const updec::la::SparseFirstSolver dense(a, options);
-  EXPECT_FALSE(dense.sparse_path());
-  const Vector x_dense = dense.solve(b, &report);
-  EXPECT_TRUE(report.converged);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x_sparse[i], x_ref[i], 1e-7);
-    EXPECT_NEAR(x_dense[i], x_ref[i], 1e-10);
-  }
+  EXPECT_EQ(report.method, updec::la::SolveMethod::kBandLu);
+  EXPECT_EQ(report.attempts, 1u);
+  EXPECT_EQ(report.iterations, 0u);
+  EXPECT_FALSE(solver.factor_report().shifted);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
 }
 
 TEST(SparseFirst, TransposeSolveMatchesExplicitTranspose) {
   const std::size_t n = 60;
   const CsrMatrix a = convection_diffusion_1d(n, 0.5);
-  Vector b(n);
-  updec::Rng rng(23);
-  for (auto& v : b) v = rng.normal();
+  const Vector b = random_rhs(n, 23);
+  const Vector x_ref = updec::la::solve(transpose_of(a.to_dense()), b);
 
-  Matrix at(n, n);
-  const Matrix ad = a.to_dense();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) at(i, j) = ad(j, i);
-  const Vector x_ref = updec::la::solve(at, b);
-
-  for (const std::size_t threshold : {std::size_t{0}, n + 1}) {
-    updec::la::RobustSolveOptions options;
-    options.sparse_min_n = threshold;
-    const updec::la::SparseFirstSolver solver(a, options);
-    updec::la::SolveReport report;
-    const Vector x = solver.solve_transpose(b, &report);
-    EXPECT_TRUE(report.converged);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-7);
-  }
+  const updec::la::SparseFirstSolver solver(a);
+  updec::la::SolveReport report;
+  const Vector x = solver.solve_transpose(b, &report);
+  EXPECT_TRUE(report.converged);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
 }
 
 TEST(SparseFirst, SolveManyMatchesColumnwiseSolve) {
@@ -395,174 +288,16 @@ TEST(SparseFirst, SolveManyMatchesColumnwiseSolve) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < 5; ++j) b(i, j) = rng.normal();
 
-  for (const std::size_t threshold : {std::size_t{0}, n + 1}) {
-    updec::la::RobustSolveOptions options;
-    options.sparse_min_n = threshold;
-    const updec::la::SparseFirstSolver solver(a, options);
-    updec::la::SolveReport report;
-    const Matrix x = solver.solve_many(b, &report);
-    EXPECT_TRUE(report.converged);
-    Vector col(n);
-    for (std::size_t j = 0; j < 5; ++j) {
-      for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-      const Vector ref = solver.solve(col);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x(i, j), ref[i], 1e-8);
-    }
+  const updec::la::SparseFirstSolver solver(a);
+  updec::la::SolveReport report;
+  const Matrix x = solver.solve_many(b, &report);
+  EXPECT_TRUE(report.converged);
+  Vector col(n);
+  for (std::size_t j = 0; j < 5; ++j) {
+    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+    const Vector ref = solver.solve(col);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x(i, j), ref[i], 1e-12);
   }
-}
-
-// ---- level-scheduled / mixed-precision ILU(0) -----------------------------
-
-/// 5-point Laplacian on an m-by-m grid (n = m^2). Unlike the tridiagonal
-/// helpers, its triangular sweeps have genuine wavefront parallelism: the
-/// level sets are the grid anti-diagonals (2m - 1 of them, up to m rows
-/// each), so the schedule actually groups independent rows.
-CsrMatrix poisson_2d(std::size_t m) {
-  const std::size_t n = m * m;
-  SparseBuilder b(n, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t r = i * m + j;
-      b.add(r, r, 4.0);
-      if (j > 0) b.add(r, r - 1, -1.0);
-      if (j + 1 < m) b.add(r, r + 1, -1.0);
-      if (i > 0) b.add(r, r - m, -1.0);
-      if (i + 1 < m) b.add(r, r + m, -1.0);
-    }
-  }
-  return CsrMatrix(b);
-}
-
-TEST(Ilu0, LevelScheduleMatchesSerialBitwise) {
-  // The level-scheduled sweeps reorder rows across levels but keep each
-  // row's accumulation order identical to the serial sweep, so the two
-  // paths must agree BITWISE, not just to tolerance.
-  const std::size_t m = 13;
-  const CsrMatrix a = poisson_2d(m);
-  updec::la::Ilu0Options serial;
-  serial.level_schedule = false;
-  updec::la::Ilu0Options leveled;
-  leveled.level_schedule = true;
-  leveled.level_min_rows = 1;  // parallelise every level, even tiny ones
-  const updec::la::Ilu0 plain(a, serial);
-  const updec::la::Ilu0 scheduled(a, leveled);
-  EXPECT_EQ(plain.levels(), 0u);
-  // 5-point stencil: forward levels are the anti-diagonals of the grid.
-  EXPECT_EQ(scheduled.levels(), 2 * m - 1);
-  // Same elimination, same factors.
-  ASSERT_EQ(plain.factors().values().size(),
-            scheduled.factors().values().size());
-  for (std::size_t k = 0; k < plain.factors().values().size(); ++k)
-    EXPECT_EQ(plain.factors().values()[k], scheduled.factors().values()[k]);
-  updec::Rng rng(77);
-  Vector r(m * m);
-  for (auto& v : r) v = rng.normal();
-  Vector z_plain(m * m), z_sched(m * m);
-  plain.apply(r, z_plain);
-  // Force a real multi-thread team (oversubscribed on a 1-core box) so the
-  // scheduled apply takes the parallel level sweep instead of the serial
-  // fast path it falls back to when only one thread is available.
-#ifdef UPDEC_HAVE_OPENMP
-  const int threads_before = omp_get_max_threads();
-  omp_set_num_threads(2);
-#endif
-  scheduled.apply(r, z_sched);
-#ifdef UPDEC_HAVE_OPENMP
-  omp_set_num_threads(threads_before);
-#endif
-  for (std::size_t i = 0; i < m * m; ++i) EXPECT_EQ(z_plain[i], z_sched[i]);
-}
-
-TEST(Ilu0, F32ShadowIsExactCastOfFactors) {
-  const updec::la::Ilu0 ilu(poisson_2d(7));
-  const auto& values = ilu.factors().values();
-  const auto& shadow = ilu.factors_f32();
-  ASSERT_EQ(shadow.size(), values.size());
-  for (std::size_t k = 0; k < values.size(); ++k)
-    EXPECT_EQ(shadow[k], static_cast<float>(values[k]));
-}
-
-TEST(Ilu0, ApplyF32TracksF64Apply) {
-  const std::size_t m = 11;
-  const CsrMatrix a = poisson_2d(m);
-  const updec::la::Ilu0 ilu(a);
-  updec::Rng rng(5);
-  Vector r(m * m);
-  for (auto& v : r) v = rng.normal();
-  Vector z64(m * m), z32(m * m);
-  ilu.apply(r, z64);
-  ilu.apply_f32(r, z32);
-  const double scale = updec::la::nrm_inf(z64);
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t i = 0; i < m * m; ++i)
-    EXPECT_NEAR(z64[i], z32[i], 1e-5 * scale);
-}
-
-TEST(SparseFirst, MixedPrecisionMatchesFp64Solve) {
-  // Acceptance criterion for UPDEC_MIXED_PRECISION: the fp32-preconditioned
-  // chain must land on the same solution as the fp64 chain to 1e-8 --
-  // preconditioner precision may cost iterations, never accuracy, because
-  // every stage is judged on true fp64 residuals.
-  const std::size_t n = 150;
-  const CsrMatrix a = convection_diffusion_1d(n, 0.4);
-  Vector b(n);
-  updec::Rng rng(29);
-  for (auto& v : b) v = rng.normal();
-
-  updec::la::RobustSolveOptions options;
-  options.sparse_min_n = 0;  // force the sparse Krylov path
-  options.mixed_precision = false;
-  const updec::la::SparseFirstSolver fp64(a, options);
-  options.mixed_precision = true;
-  const updec::la::SparseFirstSolver mixed(a, options);
-
-  updec::la::SolveReport r64, rmx;
-  const Vector x64 = fp64.solve(b, &r64);
-  const Vector xmx = mixed.solve(b, &rmx);
-  EXPECT_TRUE(r64.converged);
-  EXPECT_TRUE(rmx.converged);
-  const double scale = std::max(1.0, updec::la::nrm_inf(x64));
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(x64[i], xmx[i], 1e-8 * scale);
-
-  // Transpose (adjoint/VJP) direction goes through the same mixed closure.
-  const Vector t64 = fp64.solve_transpose(b, &r64);
-  const Vector tmx = mixed.solve_transpose(b, &rmx);
-  EXPECT_TRUE(r64.converged);
-  EXPECT_TRUE(rmx.converged);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(t64[i], tmx[i], 1e-8 * scale);
-}
-
-TEST(SparseFirst, MixedPrecisionFromEnvironment) {
-  ASSERT_EQ(setenv("UPDEC_MIXED_PRECISION", "1", 1), 0);
-  EXPECT_TRUE(updec::la::mixed_precision_from_env());
-  ASSERT_EQ(setenv("UPDEC_MIXED_PRECISION", "off", 1), 0);
-  EXPECT_FALSE(updec::la::mixed_precision_from_env());
-  ASSERT_EQ(setenv("UPDEC_MIXED_PRECISION", "maybe", 1), 0);
-  EXPECT_FALSE(updec::la::mixed_precision_from_env());  // default on garbage
-  ASSERT_EQ(unsetenv("UPDEC_MIXED_PRECISION"), 0);
-  EXPECT_FALSE(updec::la::mixed_precision_from_env());
-}
-
-TEST(Ilu0, LevelKnobsFromEnvironment) {
-  ASSERT_EQ(setenv("UPDEC_ILU_LEVELS", "0", 1), 0);
-  EXPECT_FALSE(updec::la::ilu_level_schedule_from_env());
-  ASSERT_EQ(unsetenv("UPDEC_ILU_LEVELS"), 0);
-  EXPECT_TRUE(updec::la::ilu_level_schedule_from_env());  // default on
-  ASSERT_EQ(setenv("UPDEC_ILU_LEVEL_MIN_ROWS", "128", 1), 0);
-  EXPECT_EQ(updec::la::ilu_level_min_rows_from_env(), 128u);
-  ASSERT_EQ(unsetenv("UPDEC_ILU_LEVEL_MIN_ROWS"), 0);
-  EXPECT_EQ(updec::la::ilu_level_min_rows_from_env(), 64u);
-}
-
-TEST(SparseFirst, ThresholdFromEnvironment) {
-  ASSERT_EQ(setenv("UPDEC_SPARSE_MIN_N", "7", 1), 0);
-  EXPECT_EQ(updec::la::sparse_min_n_from_env(), 7u);
-  ASSERT_EQ(setenv("UPDEC_SPARSE_MIN_N", "not-a-number", 1), 0);
-  EXPECT_EQ(updec::la::sparse_min_n_from_env(), 512u);  // default on garbage
-  ASSERT_EQ(unsetenv("UPDEC_SPARSE_MIN_N"), 0);
-  EXPECT_EQ(updec::la::sparse_min_n_from_env(), 512u);
 }
 
 }  // namespace

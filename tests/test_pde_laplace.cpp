@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "la/blas.hpp"
+#include "la/lu.hpp"
 #include "pde/laplace.hpp"
 
 namespace {
@@ -215,35 +216,24 @@ TEST(LaplaceFd, StateMatchesAnalyticUnderAnalyticControl) {
   EXPECT_LT(max_err, 0.05);
 }
 
-TEST(LaplaceFd, SparseAndDensePathsAgree) {
-  // The UPDEC_SPARSE_MIN_N threshold must pick a path, never change the
-  // answer: force both modes on the same discretisation and compare.
+TEST(LaplaceFd, BandSolveMatchesDenseSolve) {
+  // The band LU on the RCM-ordered operator (periodic lateral rows couple
+  // the two walls) must reproduce a dense LU of the same system.
   const updec::rbf::PolyharmonicSpline kernel(3);
-  updec::la::RobustSolveOptions forced_sparse;
-  forced_sparse.sparse_min_n = 0;
-  updec::la::RobustSolveOptions forced_dense;
-  forced_dense.sparse_min_n = 100000;
-  const LaplaceFdSolver sparse(16, kernel, fd_config(), forced_sparse);
-  const LaplaceFdSolver dense(16, kernel, fd_config(), forced_dense);
-  ASSERT_TRUE(sparse.op().sparse_path());
-  ASSERT_FALSE(dense.op().sparse_path());
-
-  Vector control(sparse.num_control());
+  const LaplaceFdSolver solver(16, kernel, fd_config());
+  Vector control(solver.num_control());
   for (std::size_t i = 0; i < control.size(); ++i)
-    control[i] = 0.4 * std::sin(kTwoPi * sparse.top_x()[i]);
+    control[i] = 0.4 * std::sin(kTwoPi * solver.top_x()[i]);
   updec::la::SolveReport report;
-  const Vector u_sparse = sparse.solve(control, &report);
+  const Vector u_band = solver.solve(control, &report);
   EXPECT_TRUE(report.converged);
-  const Vector u_dense = dense.solve(control);
+  EXPECT_EQ(report.method, updec::la::SolveMethod::kBandLu);
+  const Vector u_dense = updec::la::solve(solver.op().matrix().to_dense(),
+                                          solver.rhs_for(control));
   double scale = 0.0;
   for (const double v : u_dense.std()) scale = std::max(scale, std::abs(v));
   for (std::size_t i = 0; i < u_dense.size(); ++i)
-    EXPECT_NEAR(u_sparse[i], u_dense[i], 1e-6 * (1.0 + scale));
-
-  const Vector f_sparse = sparse.flux_top(u_sparse);
-  const Vector f_dense = dense.flux_top(u_dense);
-  for (std::size_t i = 0; i < f_dense.size(); ++i)
-    EXPECT_NEAR(f_sparse[i], f_dense[i], 1e-4);
+    EXPECT_NEAR(u_band[i], u_dense[i], 1e-10 * (1.0 + scale));
 }
 
 TEST(LaplaceFd, SolveManyMatchesPerControlSolves) {

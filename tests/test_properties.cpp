@@ -39,9 +39,6 @@ FamilyBudget budget_for(const std::string& name) {
   if (name == "dal_vs_dp_laplace") return {18, 2};
   if (name == "cached_vs_cold") return {7, 2};
   if (name == "ad_vs_fd_ops") return {16, 3};
-  // rom_vs_full runs two full DAL loops (ROM-routed and full-path) per
-  // trial on top of its algebraic part; two mid-size trials suffice.
-  if (name == "rom_vs_full") return {24, 2};
   // sharded_vs_single forks 1- and 4-shard worker pools per trial and runs
   // the batch three ways; one modest batch exercises the whole boundary.
   if (name == "sharded_vs_single") return {6, 1};

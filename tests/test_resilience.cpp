@@ -15,7 +15,6 @@
 #include "control/driver.hpp"
 #include "control/laplace_problem.hpp"
 #include "la/blas.hpp"
-#include "la/iterative.hpp"
 #include "la/lu.hpp"
 #include "la/robust_solve.hpp"
 #include "la/sparse.hpp"
@@ -40,19 +39,6 @@ class ResilienceTest : public ::testing::Test {
   void SetUp() override { updec::fault::disarm_all(); }
   void TearDown() override { updec::fault::disarm_all(); }
 };
-
-/// Small diagonally dominant nonsymmetric sparse test matrix.
-CsrMatrix test_csr(std::size_t n) {
-  SparseBuilder builder(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    builder.add(i, i, 4.0 + 0.01 * static_cast<double>(i));
-    if (i + 1 < n) builder.add(i, i + 1, -1.0);
-    if (i > 0) builder.add(i, i - 1, -1.5);
-  }
-  return CsrMatrix(builder);
-}
-
-Vector ones(std::size_t n) { return Vector(n, 1.0); }
 
 // ---------------------------------------------------------------------------
 // Fault-injection plumbing.
@@ -125,41 +111,8 @@ TEST_F(ResilienceTest, InitLogLevelFromEnvAppliesAndRejectsGarbage) {
   updec::set_log_level(before);
 }
 
-// ---------------------------------------------------------------------------
-// Preconditioner guards.
-
-TEST_F(ResilienceTest, JacobiZeroDiagonalFallsBackToIdentity) {
-  SparseBuilder builder(3, 3);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 0.0);  // explicit zero diagonal
-  builder.add(2, 2, 4.0);
-  builder.add(0, 1, 1.0);
-  const CsrMatrix a(builder);
-  const auto precond = updec::la::jacobi_preconditioner(a);
-  const Vector r{2.0, 3.0, 4.0};
-  Vector z;
-  precond(r, z);
-  EXPECT_DOUBLE_EQ(z[0], 1.0);
-  EXPECT_DOUBLE_EQ(z[1], 3.0);  // zero diagonal -> identity for that row
-  EXPECT_DOUBLE_EQ(z[2], 1.0);
-  EXPECT_TRUE(updec::la::all_finite(z));
-}
-
-TEST_F(ResilienceTest, Ilu0ClampsNearZeroPivotInsteadOfThrowing) {
-  SparseBuilder builder(3, 3);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, 1e-300);  // effectively singular pivot
-  builder.add(2, 2, 3.0);
-  const CsrMatrix a(builder);
-  const updec::la::Ilu0 ilu(a);  // must not throw
-  Vector z;
-  ilu.apply(ones(3), z);
-  EXPECT_TRUE(updec::la::all_finite(z));
-}
-
 TEST_F(ResilienceTest, RequireConvergedThrowsWithContext) {
-  updec::la::IterativeResult res;
+  updec::la::SolveReport res;
   res.converged = false;
   res.residual_norm = 0.5;
   EXPECT_THROW(res.require_converged("unit test"), updec::Error);
@@ -168,39 +121,12 @@ TEST_F(ResilienceTest, RequireConvergedThrowsWithContext) {
 }
 
 // ---------------------------------------------------------------------------
-// RobustSolver escalation chain.
+// Tikhonov escalation of the sparse band factorisation.
 
-TEST_F(ResilienceTest, RobustSolverUsesIterativeStageWhenHealthy) {
-  const CsrMatrix a = test_csr(40);
-  const Vector b = a.apply(ones(40));
-  const updec::la::RobustSolver solver(a);
-  Vector x;
-  const auto report = solver.solve(b, x);
-  EXPECT_TRUE(report.converged);
-  EXPECT_EQ(report.method, updec::la::SolveMethod::kIterative);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], 1.0, 1e-7);
-  EXPECT_NO_THROW(report.require_converged("healthy solve"));
-}
-
-TEST_F(ResilienceTest, RobustSolverEscalatesInjectedStagnationToDenseLu) {
-  const CsrMatrix a = test_csr(40);
-  const Vector b = a.apply(ones(40));
-  const updec::la::RobustSolver solver(a);
-  updec::fault::arm("gmres.converge");
-  updec::fault::arm("bicgstab.converge");
-  Vector x;
-  const auto report = solver.solve(b, x);
-  EXPECT_EQ(updec::fault::trigger_count("gmres.converge"), 1u);
-  EXPECT_EQ(updec::fault::trigger_count("bicgstab.converge"), 1u);
-  EXPECT_TRUE(report.converged);
-  EXPECT_EQ(report.method, updec::la::SolveMethod::kDenseLu);
-  EXPECT_GE(report.attempts, 3u);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], 1.0, 1e-9);
-}
-
-TEST_F(ResilienceTest, RobustSolverShiftsTrulySingularSystem) {
-  // Rank-deficient: row 2 duplicates row 1; b is in the range, so the
-  // shifted factorisation still produces a small-residual solution.
+TEST_F(ResilienceTest, SparseFirstShiftsGenuinelySingularOperator) {
+  // Rank-deficient: row 2 duplicates row 1 and column 2 is empty, so the
+  // band LU meets an exactly zero pivot. b is in the range, so the shifted
+  // factorisation still produces a small-residual solution.
   SparseBuilder builder(3, 3);
   builder.add(0, 0, 2.0);
   builder.add(0, 1, 1.0);
@@ -210,15 +136,20 @@ TEST_F(ResilienceTest, RobustSolverShiftsTrulySingularSystem) {
   builder.add(2, 1, 3.0);
   const CsrMatrix a(builder);
   const Vector b{3.0, 4.0, 4.0};
-  updec::la::RobustSolveOptions opts;
-  opts.use_gmres = false;  // go straight to the dense stages
-  opts.use_bicgstab = false;
-  const updec::la::RobustSolver solver(a, opts);
-  Vector x;
-  const auto report = solver.solve(b, x);
+  const updec::la::SparseFirstSolver solver(a);
+  const updec::la::FactorReport& factor = solver.factor_report();
+  EXPECT_TRUE(factor.ok);
+  EXPECT_TRUE(factor.shifted);
+  EXPECT_EQ(factor.attempts, 2u);
+  // The first shift of the schedule: 1e-12 * max(||A||_1, 1).
+  EXPECT_DOUBLE_EQ(factor.shift, 1e-12 * 7.0);
+  updec::la::SolveReport report;
+  const Vector x = solver.solve(b, &report);
   EXPECT_EQ(report.method, updec::la::SolveMethod::kShiftedLu);
+  EXPECT_EQ(report.attempts, 2u);
   EXPECT_GT(report.shift, 0.0);
   EXPECT_TRUE(updec::la::all_finite(x));
+  EXPECT_TRUE(report.converged);
   EXPECT_LT(report.residual_norm, 1e-6);
 }
 

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "la/blas.hpp"
-#include "la/iterative.hpp"
 #include "la/lu.hpp"
+#include "la/robust_solve.hpp"
 #include "la/sparse.hpp"
 #include "pde/heat.hpp"
 #include "pde/laplace.hpp"
@@ -87,23 +87,6 @@ la::CsrMatrix poisson_1d(std::size_t n) {
     if (i + 1 < n) b.add(i, i + 1, -1.0);
   }
   return la::CsrMatrix(b);
-}
-
-TEST(SolveMany, BatchedCgMatchesPerColumnCg) {
-  const std::size_t n = 32, k = 4;
-  const la::CsrMatrix a = poisson_1d(n);
-  const la::Matrix b = random_matrix(n, k, 5);
-  const la::BatchedIterativeResult batched = la::cg_many(a, b);
-  EXPECT_EQ(batched.columns, k);
-  EXPECT_TRUE(batched.all_converged());
-  la::Vector col(n);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-    const la::IterativeResult single = la::cg(a, col);
-    ASSERT_TRUE(single.converged);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(batched.x(i, j), single.x[i], 1e-8);
-  }
 }
 
 TEST(SolveMany, LaplaceSolveManyMatchesPerControlSolves) {
@@ -276,59 +259,37 @@ TEST(OperatorCache, CachedLuIsSharedAndInstallable) {
   for (std::size_t i = 0; i < u1.size(); ++i) EXPECT_EQ(u1[i], u2[i]);
 }
 
-TEST(OperatorCache, CachedIlu0IsSharedAndInstallable) {
-  // Tridiagonal convection-diffusion operator, built twice with identical
-  // content: the second ILU(0) request must be a cache hit.
-  const auto build = [] {
-    la::SparseBuilder b(64, 64);
-    for (std::size_t i = 0; i < 64; ++i) {
-      b.add(i, i, 2.1);
-      if (i > 0) b.add(i, i - 1, -1.3);
-      if (i + 1 < 64) b.add(i, i + 1, -0.7);
-    }
-    return la::CsrMatrix(b);
-  };
-  const la::CsrMatrix a1 = build();
-  const la::CsrMatrix a2 = build();
-  ASSERT_EQ(serve::fingerprint(a1), serve::fingerprint(a2));
+TEST(OperatorCache, PerClassStatsSplitLuAndBundleTraffic) {
+  // Every lookup names its artefact class; hits, misses, residency and
+  // evictions are accounted per class as well as in total.
+  const rbf::PolyharmonicSpline kernel(3);
+  pde::LaplaceSolver s1(6, kernel);
+  pde::LaplaceSolver s2(6, kernel);
+  OperatorCache cache(std::size_t{64} << 20, "");
+  serve::memoize_lu(cache, s1.collocation());
+  serve::memoize_lu(cache, s2.collocation());
+  const CacheKey key = KeyBuilder("bundle-test").add(std::uint64_t{7}).key();
+  for (int i = 0; i < 3; ++i)
+    (void)cache.get_or_compute<int>(key, [] { return sized_int(7, 100); },
+                                    "bundle");
 
-  // Two sparse-path solvers over identical content produce identical
-  // (row-equilibrated) Krylov operators, so the second ILU(0) request must
-  // be a cache hit on the first one's factors.
-  la::RobustSolveOptions options;
-  options.sparse_min_n = 0;
-  la::SparseFirstSolver solver(a1, options);
-  la::SparseFirstSolver twin(a2, options);
-  ASSERT_EQ(serve::fingerprint(solver.krylov_matrix()),
-            serve::fingerprint(twin.krylov_matrix()));
-
-  OperatorCache cache(std::size_t{64} << 20);
-  const auto ilu1 = serve::cached_ilu0(cache, solver.krylov_matrix());
-  const auto ilu2 = serve::cached_ilu0(cache, twin.krylov_matrix());
-  EXPECT_EQ(ilu1.get(), ilu2.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Install into the solver: the memoized factors precondition its Krylov
-  // chain and the solve still matches the dense reference.
-  serve::memoize_preconditioner(cache, solver);
-  EXPECT_EQ(solver.shared_preconditioner().get(), ilu1.get());
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  la::Vector b(64, 1.0);
-  la::SolveReport report;
-  const la::Vector x = solver.solve(b, &report);
-  EXPECT_TRUE(report.converged);
-  const la::Vector x_ref = la::solve(a1.to_dense(), b);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
-
-  // Dense-path solvers ignore the memoization entirely.
-  options.sparse_min_n = 1000;
-  la::SparseFirstSolver dense_solver(a1, options);
-  const auto before = cache.stats().hits;
-  serve::memoize_preconditioner(cache, dense_solver);
-  EXPECT_EQ(dense_solver.shared_preconditioner(), nullptr);
-  EXPECT_EQ(cache.stats().hits, before);
+  const OperatorCache::Stats s = cache.stats();
+  const auto lu = s.by_class.find("lu");
+  const auto bundle = s.by_class.find("bundle");
+  ASSERT_NE(lu, s.by_class.end());
+  ASSERT_NE(bundle, s.by_class.end());
+  EXPECT_EQ(lu->second.misses, 1u);
+  EXPECT_EQ(lu->second.hits, 1u);
+  EXPECT_EQ(lu->second.entries, 1u);
+  EXPECT_EQ(lu->second.bytes, serve::lu_bytes(s1.collocation().lu()));
+  EXPECT_EQ(bundle->second.misses, 1u);
+  EXPECT_EQ(bundle->second.hits, 2u);
+  EXPECT_EQ(bundle->second.entries, 1u);
+  EXPECT_EQ(bundle->second.bytes, 100u);
+  EXPECT_EQ(lu->second.evictions + bundle->second.evictions, 0u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.bytes, lu->second.bytes + bundle->second.bytes);
 }
 
 // ---- thread pool ---------------------------------------------------------
@@ -724,54 +685,22 @@ TEST(DiskCodec, LuRoundTripIsBitExact) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x1[i], x2[i]);
 }
 
-TEST(DiskCodec, CsrAndIlu0RoundTripsPreserveContent) {
+TEST(DiskCodec, CsrRoundTripPreservesContent) {
   const la::CsrMatrix a = poisson_1d(16);
   const la::CsrMatrix rt = serve::decode_csr(serve::encode_csr(a));
   EXPECT_EQ(serve::fingerprint(rt), serve::fingerprint(a));
-
-  const la::Ilu0 ilu(a);
-  const la::Ilu0 ilu_rt = serve::decode_ilu0(serve::encode_ilu0(ilu));
-  EXPECT_EQ(serve::fingerprint(ilu_rt.factors()),
-            serve::fingerprint(ilu.factors()));
-  la::Vector r(16, 1.0), z1(16), z2(16);
-  ilu.apply(r, z1);
-  ilu_rt.apply(r, z2);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(z1[i], z2[i]);
-}
-
-TEST(DiskCodec, Ilu0F32RoundTripIsBitExactOnTheShadow) {
-  // The mixed-precision artefact stores the fp32 shadow; decoding widens to
-  // double and Ilu0::from_factors re-narrows, so the shadow (the values the
-  // mixed chain actually applies) must survive the round trip BITWISE.
-  const la::CsrMatrix a = poisson_1d(32);
-  const la::Ilu0 ilu(a);
-  const std::string payload = serve::encode_ilu0_f32(ilu);
-  // Half-size value storage vs the fp64 codec.
-  EXPECT_LT(payload.size(), serve::encode_ilu0(ilu).size());
-  const la::Ilu0 rt = serve::decode_ilu0_f32(payload);
-  ASSERT_EQ(rt.factors_f32().size(), ilu.factors_f32().size());
-  for (std::size_t k = 0; k < ilu.factors_f32().size(); ++k)
-    EXPECT_EQ(rt.factors_f32()[k], ilu.factors_f32()[k]);
-  EXPECT_EQ(rt.factors().row_ptr(), ilu.factors().row_ptr());
-  EXPECT_EQ(rt.factors().col_idx(), ilu.factors().col_idx());
-  // Identical fp32 sweeps on both sides.
-  la::Vector r(32, 1.0), z1(32), z2(32);
-  ilu.apply_f32(r, z1);
-  rt.apply_f32(r, z2);
-  for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(z1[i], z2[i]);
+  EXPECT_EQ(rt.row_ptr(), a.row_ptr());
+  EXPECT_EQ(rt.col_idx(), a.col_idx());
+  EXPECT_EQ(rt.values(), a.values());
 }
 
 TEST(DiskCodec, DecodeRejectsMalformedPayloads) {
   EXPECT_THROW((void)serve::decode_lu("garbage"), Error);
   EXPECT_THROW((void)serve::decode_csr(""), Error);
-  EXPECT_THROW((void)serve::decode_ilu0_f32("garbage"), Error);
   // A structurally valid prefix with trailing junk must not decode either.
   std::string payload = serve::encode_csr(poisson_1d(4));
   payload += "x";
   EXPECT_THROW((void)serve::decode_csr(payload), Error);
-  std::string payload_f32 = serve::encode_ilu0_f32(la::Ilu0(poisson_1d(4)));
-  payload_f32 += "x";
-  EXPECT_THROW((void)serve::decode_ilu0_f32(payload_f32), Error);
 }
 
 // ---- persistent disk tier ------------------------------------------------
@@ -818,46 +747,6 @@ TEST(DiskCache, WarmRestartServesBitwiseEqualArtefactsFromDisk) {
   }
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) EXPECT_EQ(cold[i], warm[i]);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DiskCache, MixedPrecisionIluRoundTripsThroughDiskBitExactly) {
-  // Regression for UPDEC_MIXED_PRECISION serving: the fp32-factor artefact
-  // variant persists under its own key domain ("ilu0-f32") and a warm
-  // restart must serve a preconditioner whose fp32 sweep output is bitwise
-  // identical to the cold process's.
-  const std::string dir = fresh_cache_dir("mixed");
-  const la::CsrMatrix a = poisson_1d(40);
-  la::Vector r(40, 1.0), cold(40), warm(40);
-  std::vector<float> cold_shadow;
-
-  {
-    OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto ilu = serve::cached_ilu0(cache, a, /*fp32_factors=*/true);
-    ASSERT_NE(ilu, nullptr);
-    EXPECT_EQ(cache.stats().disk.writes, 1u);
-    cold_shadow = ilu->factors_f32();
-    ilu->apply_f32(r, cold);
-  }
-  {
-    OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto ilu = serve::cached_ilu0(cache, a, /*fp32_factors=*/true);
-    ASSERT_NE(ilu, nullptr);
-    EXPECT_EQ(cache.stats().disk.hits, 1u);
-    EXPECT_EQ(cache.stats().disk.writes, 0u);
-    ASSERT_EQ(ilu->factors_f32().size(), cold_shadow.size());
-    for (std::size_t k = 0; k < cold_shadow.size(); ++k)
-      EXPECT_EQ(ilu->factors_f32()[k], cold_shadow[k]);
-    ilu->apply_f32(r, warm);
-
-    // The fp64 artefact for the SAME operator lives under a different key:
-    // requesting it must compute (and persist) a fresh entry, not alias the
-    // narrowed fp32 factors.
-    const auto ilu64 = serve::cached_ilu0(cache, a, /*fp32_factors=*/false);
-    EXPECT_EQ(cache.stats().disk.writes, 1u);
-    EXPECT_NE(ilu64.get(), ilu.get());
-  }
-  for (std::size_t i = 0; i < 40; ++i) EXPECT_EQ(cold[i], warm[i]);
   std::filesystem::remove_all(dir);
 }
 

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iostream>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -133,7 +135,7 @@ TEST(Wire, ResultFrameRoundTripsBitwise) {
 TEST(Wire, StatsFrameRoundTrips) {
   serve::wire::StatsFrame stats;
   stats.counters.push_back({"serve/jobs.succeeded", 12});
-  stats.counters.push_back({"la/gmres.iterations", 345});
+  stats.counters.push_back({"la/sparse_first.calls", 345});
   stats.cache.hits = 10;
   stats.cache.misses = 4;
   stats.cache.bytes = 1 << 20;
@@ -412,6 +414,36 @@ TEST(ShardPoolE2E, StealingOffKeepsAffinity) {
   EXPECT_EQ(busy_shards, 1u) << "one fingerprint must stay on one shard";
 }
 
+TEST(ShardPoolE2E, ForkedWorkerDoesNotRepeatBufferedStdout) {
+  // A worker's log line on std::cerr flushes its tie, std::cout, so any
+  // output still buffered in the parent when it forked would be written a
+  // second time. The armed fault fails the job's first attempt inside the
+  // worker, whose degraded retry then logs a warning.
+  const std::string marker = "buffered-before-fork-7f3a";
+  fault::arm("serve.solve_fault");
+  ::testing::internal::CaptureStdout();
+  std::cout << marker << '\n';
+  {
+    serve::SchedulerOptions options;
+    options.shards = 1;
+    serve::RetryPolicy retry;
+    retry.max_retries = 0;
+    options.retry = retry;
+    serve::Scheduler scheduler(options);
+    const auto id = scheduler.submit(small_scenario("logs", 6, 1));
+    const JobReport report = scheduler.wait(id);
+    EXPECT_EQ(report.status, JobStatus::kSucceeded) << report.error;
+    EXPECT_TRUE(report.degraded);
+  }
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  fault::disarm_all();
+  std::size_t copies = 0;
+  for (auto at = out.find(marker); at != std::string::npos;
+       at = out.find(marker, at + 1))
+    ++copies;
+  EXPECT_EQ(copies, 1u) << out;
+}
+
 TEST(SchedulerShardMode, AsyncSubmitStreamsCompletions) {
   serve::SchedulerOptions options;
   options.shards = 2;
@@ -488,8 +520,13 @@ TEST(SchedulerShardMode, CancelRunningJobCrossesTheBoundary) {
   options.shards = 1;
   serve::Scheduler scheduler(options);
   const auto id = scheduler.submit(long_scenario("running"));
-  // Wait until the worker actually picked it up.
-  for (int i = 0; i < 200 && scheduler.status(id) == JobStatus::kPending; ++i)
+  // Wait until the worker actually picked it up. The bound is generous: a
+  // loaded machine may take a while to schedule the forked worker, and the
+  // assertion below is about state, not speed.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (scheduler.status(id) == JobStatus::kPending &&
+         std::chrono::steady_clock::now() < give_up)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(scheduler.status(id), JobStatus::kRunning);
   EXPECT_TRUE(scheduler.cancel(id));
@@ -498,6 +535,26 @@ TEST(SchedulerShardMode, CancelRunningJobCrossesTheBoundary) {
   // The worker survived the cancellation and keeps serving.
   const auto next = scheduler.submit(small_scenario("after-cancel", 6, 3));
   EXPECT_EQ(scheduler.wait(next).status, JobStatus::kSucceeded);
+}
+
+TEST(SchedulerShardMode, RunningStatusArrivesWhileTheJobRuns) {
+  // Once a finished job has left the dispatcher idle in poll(), a new job's
+  // kRunning transition must still reach the scheduler while the job runs,
+  // not only when its result (here: never, before the cancel) comes back.
+  serve::SchedulerOptions options;
+  options.shards = 1;
+  serve::Scheduler scheduler(options);
+  const auto warm = scheduler.submit(small_scenario("warm", 6, 1));
+  ASSERT_EQ(scheduler.wait(warm).status, JobStatus::kSucceeded);
+  const auto id = scheduler.submit(long_scenario("running"));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scheduler.status(id) == JobStatus::kPending &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(scheduler.status(id), JobStatus::kRunning);
+  EXPECT_TRUE(scheduler.cancel(id));
+  EXPECT_EQ(scheduler.wait(id).status, JobStatus::kCancelled);
 }
 
 TEST(SchedulerShardMode, DeadlineEnforcedAcrossTheBoundary) {

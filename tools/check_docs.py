@@ -9,9 +9,12 @@ Two classes of drift this catches:
    (the docs cross-reference each other that way far more often than
    with actual markdown links).
 
-2. Undocumented knobs: every environment variable the code reads (a
-   quoted "UPDEC_*" string literal under src/) must have a row in the
-   consolidated knob table of docs/OBSERVABILITY.md.
+2. Knob table drift, in both directions. Every environment variable the
+   code reads (a quoted "UPDEC_*" string literal under src/ or examples/)
+   must have a row in the consolidated knob table of docs/OBSERVABILITY.md,
+   and every UPDEC_* name the tables list must still appear in some file
+   under src/, examples/ or tests/, or in a CMakeLists.txt -- so the row of
+   a retired knob cannot linger.
 
 Run from anywhere: paths are resolved relative to the repository root
 (the parent of this script's directory). Exits non-zero listing every
@@ -57,12 +60,26 @@ def check_links():
     return errors
 
 
+def source_files(*dirs):
+    for top in dirs:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.is_file():
+                yield path
+
+
+def cmake_lists():
+    for path in sorted(ROOT.rglob("CMakeLists.txt")):
+        parts = path.relative_to(ROOT).parts
+        if not any(p.startswith((".", "build", "cmake-build")) for p in parts):
+            yield path
+
+
 def check_knob_table():
     table = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
     documented = set(re.findall(r"\|\s*`(UPDEC_[A-Z0-9_]+)`", table))
     errors = []
     consumed = {}
-    for source in sorted((ROOT / "src").rglob("*")):
+    for source in source_files("src", "examples"):
         if source.suffix not in (".hpp", ".cpp"):
             continue
         for name in ENV_LITERAL.findall(source.read_text(encoding="utf-8")):
@@ -72,6 +89,16 @@ def check_knob_table():
             errors.append(
                 f"{where}: env knob {name} has no row in the "
                 "docs/OBSERVABILITY.md knob table"
+            )
+    corpus = "\n".join(
+        path.read_text(encoding="utf-8", errors="replace")
+        for path in (*source_files("src", "examples", "tests"), *cmake_lists())
+    )
+    for name in sorted(documented):
+        if not re.search(rf"\b{name}\b", corpus):
+            errors.append(
+                f"docs/OBSERVABILITY.md: table row {name} names nothing "
+                "under src/, examples/ or tests/, nor in a CMakeLists.txt"
             )
     return errors
 
