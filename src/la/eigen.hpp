@@ -5,9 +5,9 @@
 /// operators can carry spurious eigenvalues with positive real part,
 /// DESIGN.md 3b, and the spectral radius of a time-stepping map certifies
 /// whether a march can diverge) and a full symmetric eigendecomposition by
-/// cyclic Jacobi rotations (the Gram-matrix path of the POD/Galerkin
-/// reduced-order tier in src/rom, where snapshot Gram matrices are small,
-/// dense, frequently near-degenerate and must be resolved reliably).
+/// cyclic Jacobi rotations (the Gram-matrix path of rom/pod_basis, where
+/// snapshot Gram matrices are small, dense, frequently near-degenerate and
+/// must be resolved reliably).
 
 #include <functional>
 

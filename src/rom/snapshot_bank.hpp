@@ -2,12 +2,11 @@
 /// \file snapshot_bank.hpp
 /// \brief Bounded, deduplicated store of solution snapshots per operator.
 ///
-/// Every full-path solve the ROM tier performs (cold starts and accuracy
-/// escalations alike) is a free training sample: its solution is harvested
-/// here, grouped by the 128-bit-reduced operator fingerprint of the system
-/// it solved, and later turned into a POD basis by build_pod_basis(). The
-/// bank is shared by every job of a serve batch, so it is thread-safe, and
-/// it is memory-bounded: snapshots are deduplicated by content hash (an
+/// Solutions of full solves are training samples for a POD basis: they are
+/// collected here, grouped by the 128-bit-reduced operator fingerprint of
+/// the system they solved, and later turned into a basis by
+/// build_pod_basis(). The bank is thread-safe, so concurrent jobs may share
+/// it, and memory-bounded: snapshots are deduplicated by content hash (an
 /// optimisation trajectory re-visiting an iterate contributes nothing new)
 /// and a byte cap evicts the OLDEST snapshot of the LEAST-recently-touched
 /// fingerprint group first -- active operator families keep their training

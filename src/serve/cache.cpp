@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -401,6 +402,51 @@ la::CsrMatrix decode_csr(std::string_view payload) {
     UPDEC_REQUIRE(c < cols, "disk payload: CSR column index out of range");
   return la::CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
                        std::move(values));
+}
+
+std::size_t pod_basis_bytes(const rom::PodBasis& basis) {
+  return basis.modes.rows() * basis.modes.cols() * sizeof(double) +
+         basis.eigenvalues.size() * sizeof(double);
+}
+
+std::string encode_pod_basis(const rom::PodBasis& basis) {
+  PayloadWriter w;
+  w.u64(basis.n());
+  w.u64(basis.k());
+  w.u64(basis.snapshot_count);
+  w.f64s(basis.modes.data(), basis.n() * basis.k());
+  w.f64s(basis.eigenvalues.data(), basis.eigenvalues.size());
+  return w.take();
+}
+
+rom::PodBasis decode_pod_basis(std::string_view payload) {
+  PayloadReader r(payload);
+  const std::size_t n = static_cast<std::size_t>(r.u64());
+  const std::size_t k = static_cast<std::size_t>(r.u64());
+  rom::PodBasis basis;
+  basis.snapshot_count = static_cast<std::size_t>(r.u64());
+  UPDEC_REQUIRE(k <= n, "disk payload: pod-basis rank exceeds dimension");
+  basis.modes = la::Matrix(n, k);
+  r.f64s(basis.modes.data(), n * k);
+  basis.eigenvalues = la::Vector(k);
+  r.f64s(basis.eigenvalues.data(), k);
+  r.done();
+  // A checksum-clean payload can still be semantically bad (written by a
+  // buggy producer): reject anything that is not an orthonormal basis with
+  // finite, positive, descending energies rather than serving garbage.
+  for (std::size_t j = 0; j < k; ++j) {
+    UPDEC_REQUIRE(std::isfinite(basis.eigenvalues[j]) &&
+                      basis.eigenvalues[j] > 0.0,
+                  "disk payload: pod-basis eigenvalue not positive");
+    UPDEC_REQUIRE(j == 0 || basis.eigenvalues[j] <= basis.eigenvalues[j - 1],
+                  "disk payload: pod-basis eigenvalues not descending");
+  }
+  for (std::size_t i = 0; i < n * k; ++i)
+    UPDEC_REQUIRE(std::isfinite(basis.modes.data()[i]),
+                  "disk payload: pod-basis mode entry not finite");
+  UPDEC_REQUIRE(k == 0 || basis.orthonormality_defect() < 1e-6,
+                "disk payload: pod-basis modes not orthonormal");
+  return basis;
 }
 
 // ---- memoization helpers -------------------------------------------------

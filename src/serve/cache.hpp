@@ -49,6 +49,7 @@
 #include "rbf/kernels.hpp"
 #include "rbf/operators.hpp"
 #include "rbf/rbffd.hpp"
+#include "rom/pod_basis.hpp"
 
 namespace updec::serve {
 
@@ -324,6 +325,14 @@ OperatorCache& global_cache();
 [[nodiscard]] la::LuFactorization decode_lu(std::string_view payload);
 [[nodiscard]] std::string encode_csr(const la::CsrMatrix& m);
 [[nodiscard]] la::CsrMatrix decode_csr(std::string_view payload);
+
+/// POD bases (rom/pod_basis.hpp) persist through get_or_compute_disk() under
+/// the "pod-basis" class. Beyond the size checks, decode rejects a payload
+/// that is not an orthonormal basis with finite, positive, descending
+/// energies. No serving path stores one.
+[[nodiscard]] std::size_t pod_basis_bytes(const rom::PodBasis& basis);
+[[nodiscard]] std::string encode_pod_basis(const rom::PodBasis& basis);
+[[nodiscard]] rom::PodBasis decode_pod_basis(std::string_view payload);
 
 // ---- high-level memoization helpers --------------------------------------
 

@@ -250,7 +250,12 @@ TEST(BandLu, ZeroPivotThrows) {
 
 // ---- SparseFirstSolver ----------------------------------------------------
 
-TEST(SparseFirst, BandSolveAgreesWithDenseSolve) {
+TEST(SparseFirst, ForcedModesAgreeWithDenseSolve) {
+  // Each factorisation mode, forced by the operator it is given, reproduces
+  // a dense LU of the matrix it factors. A regular nonsymmetric operator
+  // takes the plain band LU. Splicing an isolated node with no entries into
+  // it makes the operator singular, so the band LU meets an exactly zero
+  // pivot and factors A + lambda I instead.
   const std::size_t n = 80;
   const CsrMatrix a = convection_diffusion_1d(n, 0.4);
   const Vector b = random_rhs(n, 17);
@@ -265,6 +270,29 @@ TEST(SparseFirst, BandSolveAgreesWithDenseSolve) {
   EXPECT_EQ(report.iterations, 0u);
   EXPECT_FALSE(solver.factor_report().shifted);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
+
+  const std::size_t hole = n / 2;
+  const auto label = [hole](std::size_t i) { return i < hole ? i : i + 1; };
+  SparseBuilder builder(n + 1, n + 1);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
+      builder.add(label(i), label(a.col_idx()[k]), a.values()[k]);
+  const CsrMatrix singular(builder);
+  Vector b_singular(n + 1, 0.0);  // zero at the hole: b is in the range
+  for (std::size_t i = 0; i < n; ++i) b_singular[label(i)] = b[i];
+
+  const updec::la::SparseFirstSolver shifted(singular);
+  const updec::la::FactorReport& factor = shifted.factor_report();
+  ASSERT_TRUE(factor.shifted);
+  const Vector x_shifted = shifted.solve(b_singular, &report);
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.method, updec::la::SolveMethod::kShiftedLu);
+  EXPECT_EQ(report.shift, factor.shift);
+  Matrix dense = singular.to_dense();
+  for (std::size_t i = 0; i <= n; ++i) dense(i, i) += factor.shift;
+  const Vector x_shifted_ref = updec::la::solve(dense, b_singular);
+  for (std::size_t i = 0; i <= n; ++i)
+    EXPECT_NEAR(x_shifted[i], x_shifted_ref[i], 1e-10);
 }
 
 TEST(SparseFirst, TransposeSolveMatchesExplicitTranspose) {
@@ -299,5 +327,52 @@ TEST(SparseFirst, SolveManyMatchesColumnwiseSolve) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x(i, j), ref[i], 1e-12);
   }
 }
+
+// ---- agreement across solvers ---------------------------------------------
+
+/// Textbook conjugate gradients: an independent iterative reference for the
+/// direct solvers on SPD systems. Stops when ||r|| <= tol ||b||.
+Vector cg_reference(const CsrMatrix& a, const Vector& b, double tol) {
+  const std::size_t n = b.size();
+  Vector x(n, 0.0), r = b, p = b, ap(n);
+  double rr = updec::la::dot(r, r);
+  const double stop = tol * tol * rr;
+  for (std::size_t it = 0; it < 10 * n && rr > stop; ++it) {
+    a.spmv(1.0, p, 0.0, ap);
+    const double alpha = rr / updec::la::dot(p, ap);
+    updec::la::axpy(alpha, p, x);
+    updec::la::axpy(-alpha, ap, r);
+    const double rr_next = updec::la::dot(r, r);
+    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + (rr_next / rr) * p[i];
+    rr = rr_next;
+  }
+  return x;
+}
+
+// Property sweep: on SPD 1-D Poisson systems the band LU behind
+// SparseFirstSolver, a dense LU and a Krylov (conjugate-gradient) reference
+// agree.
+class KrylovAgreement : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(KrylovAgreement, AllSolversAgree) {
+  const std::size_t n = GetParam();
+  const CsrMatrix a = poisson_1d(n);
+  const Vector b = random_rhs(n, n);
+  const Vector x_lu = updec::la::solve(a.to_dense(), b);
+  const updec::la::SparseFirstSolver solver(a);
+  updec::la::SolveReport report;
+  const Vector x_band = solver.solve(b, &report);
+  ASSERT_TRUE(report.converged);
+  const Vector x_cg = cg_reference(a, b, 1e-13);
+  double scale = 1.0;
+  for (const double v : x_lu.std()) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(x_band[i], x_lu[i], 1e-10 * scale);
+    EXPECT_NEAR(x_cg[i], x_lu[i], 1e-8 * scale);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KrylovAgreement,
+                         ::testing::Values(5, 16, 64, 128));
 
 }  // namespace

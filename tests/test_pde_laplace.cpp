@@ -216,9 +216,10 @@ TEST(LaplaceFd, StateMatchesAnalyticUnderAnalyticControl) {
   EXPECT_LT(max_err, 0.05);
 }
 
-TEST(LaplaceFd, BandSolveMatchesDenseSolve) {
-  // The band LU on the RCM-ordered operator (periodic lateral rows couple
-  // the two walls) must reproduce a dense LU of the same system.
+TEST(LaplaceFd, SparseAndDensePathsAgree) {
+  // The sparse path (band LU of the RCM-ordered operator, whose periodic
+  // lateral rows couple the two walls) must reproduce a dense LU of the
+  // same system.
   const updec::rbf::PolyharmonicSpline kernel(3);
   const LaplaceFdSolver solver(16, kernel, fd_config());
   Vector control(solver.num_control());

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/oracles.hpp"
@@ -55,10 +57,21 @@ std::string replay_hint(const Oracle& oracle, const OracleCase& c) {
   return os.str();
 }
 
-class OracleFamily : public ::testing::TestWithParam<const Oracle*> {};
+/// Sweep parameter that prints as the family name, so each case is named
+/// after its family (a bare pointer prints its address, which changes from
+/// run to run).
+struct Family {
+  const Oracle* oracle;
+
+  friend void PrintTo(const Family& f, std::ostream* os) {
+    *os << f.oracle->name;
+  }
+};
+
+class OracleFamily : public ::testing::TestWithParam<Family> {};
 
 TEST_P(OracleFamily, BoundedRandomTrials) {
-  const Oracle& oracle = *GetParam();
+  const Oracle& oracle = *GetParam().oracle;
   const FamilyBudget budget = budget_for(oracle.name);
   // Site seed derived from the family name so families explore independent
   // streams under a single UPDEC_TEST_SEED override.
@@ -87,19 +100,14 @@ TEST_P(OracleFamily, BoundedRandomTrials) {
   EXPECT_EQ(ran, budget.trials);
 }
 
-std::string family_name(const ::testing::TestParamInfo<const Oracle*>& info) {
-  return info.param->name;
-}
-
-std::vector<const Oracle*> catalogue_pointers() {
-  std::vector<const Oracle*> out;
-  for (const Oracle& o : updec::check::all_oracles()) out.push_back(&o);
+std::vector<Family> catalogue() {
+  std::vector<Family> out;
+  for (const Oracle& o : updec::check::all_oracles()) out.push_back({&o});
   return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalogue, OracleFamily,
-                         ::testing::ValuesIn(catalogue_pointers()),
-                         family_name);
+                         ::testing::ValuesIn(catalogue()));
 
 TEST(OracleCatalogue, HasAllEightFamiliesWithSaneRanges) {
   const auto& oracles = updec::check::all_oracles();

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "testing_common.hpp"
 #include "rbf/kernels.hpp"
@@ -181,12 +182,24 @@ TEST(Monomials, EvaluationAndDerivatives) {
 
 // Property sweep: every kernel's laplacian() is consistent with its radial
 // derivatives at random radii.
+
+/// Sweep parameter that prints as the kernel's name, so each case carries a
+/// stable name (a bare shared_ptr prints its address, which changes from
+/// run to run).
+struct NamedKernel {
+  std::shared_ptr<Kernel> kernel;
+
+  friend void PrintTo(const NamedKernel& k, std::ostream* os) {
+    *os << k.kernel->name();
+  }
+};
+
 class KernelLaplacianConsistency
-    : public ::testing::TestWithParam<std::shared_ptr<Kernel>> {};
+    : public ::testing::TestWithParam<NamedKernel> {};
 
 TEST_P(KernelLaplacianConsistency, MatchesRadialFormula) {
   updec::Rng rng = updec::testing_support::test_rng(5);
-  const auto& kernel = *GetParam();
+  const Kernel& kernel = *GetParam().kernel;
   for (int i = 0; i < 50; ++i) {
     const double r = rng.uniform(0.05, 3.0);
     EXPECT_NEAR(kernel.laplacian(r), kernel.d2phi(r) + kernel.dphi(r) / r,
@@ -196,11 +209,12 @@ TEST_P(KernelLaplacianConsistency, MatchesRadialFormula) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelLaplacianConsistency,
-    ::testing::Values(std::make_shared<PolyharmonicSpline>(3),
-                      std::make_shared<PolyharmonicSpline>(5),
-                      std::make_shared<PolyharmonicSpline>(7),
-                      std::make_shared<GaussianKernel>(1.5),
-                      std::make_shared<MultiquadricKernel>(0.9),
-                      std::make_shared<InverseMultiquadricKernel>(1.1)));
+    ::testing::Values(NamedKernel{std::make_shared<PolyharmonicSpline>(3)},
+                      NamedKernel{std::make_shared<PolyharmonicSpline>(5)},
+                      NamedKernel{std::make_shared<PolyharmonicSpline>(7)},
+                      NamedKernel{std::make_shared<GaussianKernel>(1.5)},
+                      NamedKernel{std::make_shared<MultiquadricKernel>(0.9)},
+                      NamedKernel{
+                          std::make_shared<InverseMultiquadricKernel>(1.1)}));
 
 }  // namespace

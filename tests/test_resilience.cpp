@@ -123,9 +123,10 @@ TEST_F(ResilienceTest, RequireConvergedThrowsWithContext) {
 // ---------------------------------------------------------------------------
 // Tikhonov escalation of the sparse band factorisation.
 
-TEST_F(ResilienceTest, SparseFirstShiftsGenuinelySingularOperator) {
-  // Rank-deficient: row 2 duplicates row 1 and column 2 is empty, so the
-  // band LU meets an exactly zero pivot. b is in the range, so the shifted
+TEST_F(ResilienceTest, RobustSolverShiftsTrulySingularSystem) {
+  // The sparse robust solver (SparseFirstSolver) on a rank-deficient
+  // operator: row 2 duplicates row 1 and column 2 is empty, so the band LU
+  // meets an exactly zero pivot. b is in the range, so the shifted
   // factorisation still produces a small-residual solution.
   SparseBuilder builder(3, 3);
   builder.add(0, 0, 2.0);

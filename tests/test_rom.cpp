@@ -1,22 +1,19 @@
-// Tests for the reduced-order serving tier: SnapshotBank bounds and
+// Tests for the POD building blocks kept in src/rom: SnapshotBank bounds and
 // deduplication, POD basis construction on healthy / rank-deficient
-// snapshot sets, RomSolver escalation + enrichment + warm restart, the
-// pod-basis disk codec, and the per-class cache accounting it rides on.
+// snapshot sets, the pod-basis disk codec, and a basis persisted through the
+// operator cache's disk tier.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "check/generators.hpp"
 #include "la/blas.hpp"
-#include "la/robust_solve.hpp"
-#include "rom/config.hpp"
 #include "rom/pod_basis.hpp"
-#include "rom/rom_solver.hpp"
 #include "rom/snapshot_bank.hpp"
 #include "serve/cache.hpp"
 #include "util/error.hpp"
@@ -149,114 +146,6 @@ TEST(PodBasis, MaxKCapsTheRankAndZeroSnapshotsGiveEmptyBasis) {
   EXPECT_THROW(rom::build_pod_basis(ragged, 3), updec::Error);
 }
 
-// ---- RomSolver ------------------------------------------------------------
-
-struct RomRig {
-  explicit RomRig(std::uint64_t seed, std::size_t n, std::size_t min_snaps) {
-    Rng rng(seed);
-    updec::la::RobustSolveOptions forced;
-    forced.sparse_min_n = 0;
-    a = updec::check::random_sparse_diag_dominant(rng, n);
-    full = std::make_unique<updec::la::SparseFirstSolver>(a, forced);
-    config.enabled = true;
-    config.tol = 1e-8;
-    config.max_k = n;
-    config.min_snapshots = min_snaps;
-    bank = std::make_unique<rom::SnapshotBank>(1 << 22);
-    solver = std::make_unique<rom::RomSolver>(*full, *bank, seed, config);
-  }
-  updec::la::CsrMatrix a{0, 0, {0}, {}, {}};
-  std::unique_ptr<updec::la::SparseFirstSolver> full;
-  rom::RomConfig config;
-  std::unique_ptr<rom::SnapshotBank> bank;
-  std::unique_ptr<rom::RomSolver> solver;
-};
-
-TEST(RomSolver, EscalatesColdThenReducesInSpan) {
-  RomRig rig(11, 20, 4);
-  Rng rng(12);
-  std::vector<Vector> rhs;
-  for (std::size_t i = 0; i < 4; ++i) {
-    rhs.push_back(random_snapshot(rng, 20));
-    rom::RomSolveReport rep;
-    (void)rig.solver->solve(rhs.back(), {}, &rep);
-    EXPECT_TRUE(rep.escalated);
-    EXPECT_FALSE(rep.reduced);
-  }
-
-  Vector inside(20, 0.0);
-  for (const Vector& r : rhs) updec::la::axpy(rng.uniform(-1.0, 1.0), r,
-                                              inside);
-  rom::RomSolveReport rep;
-  const Vector x = rig.solver->solve(inside, {}, &rep);
-  EXPECT_TRUE(rep.reduced);
-  EXPECT_GT(rep.k, 0u);
-  EXPECT_LE(rep.estimate, rig.config.tol);
-
-  updec::la::SolveReport full_rep;
-  const Vector x_ref = rig.full->solve(inside, &full_rep);
-  full_rep.require_converged("test reference solve");
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-7);
-
-  const rom::RomStats stats = rig.solver->stats();
-  EXPECT_EQ(stats.escalated, 4u);
-  EXPECT_EQ(stats.reduced, 1u);
-  EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_GE(stats.harvested, 4u);
-}
-
-TEST(RomSolver, RebuildCallbackFiresAndInstallBasisWarmStarts) {
-  RomRig rig(13, 16, 3);
-  Rng rng(14);
-  std::size_t callbacks = 0;
-  std::shared_ptr<const rom::PodBasis> persisted;
-  rig.solver->on_basis_rebuilt([&](const rom::PodBasis& basis) {
-    ++callbacks;
-    persisted = std::make_shared<const rom::PodBasis>(basis);
-  });
-
-  std::vector<Vector> rhs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    rhs.push_back(random_snapshot(rng, 16));
-    (void)rig.solver->solve(rhs[i]);
-  }
-  Vector inside(16, 0.0);
-  updec::la::axpy(1.0, rhs[0], inside);
-  updec::la::axpy(-0.5, rhs[1], inside);
-  (void)rig.solver->solve(inside);  // triggers the rebuild
-  ASSERT_EQ(callbacks, 1u);
-  ASSERT_NE(persisted, nullptr);
-  EXPECT_GT(persisted->k(), 0u);
-
-  // A FRESH solver warm-started from the persisted basis must answer the
-  // in-span rhs in reduced space immediately -- zero cold escalations.
-  RomRig warm(13, 16, 3);
-  warm.solver->install_basis(persisted);
-  rom::RomSolveReport rep;
-  (void)warm.solver->solve(inside, {}, &rep);
-  EXPECT_TRUE(rep.reduced);
-  const rom::RomStats stats = warm.solver->stats();
-  EXPECT_EQ(stats.escalated, 0u);
-  EXPECT_EQ(stats.reduced, 1u);
-  // install_basis is a warm restart, not a rebuild.
-  EXPECT_EQ(stats.rebuilds, 0u);
-  // The persisted span was re-seeded into the bank so later enrichment
-  // rebuilds do not forget it.
-  EXPECT_EQ(warm.bank->count(13), persisted->k());
-}
-
-TEST(RomSolver, MismatchedInstallAndRhsAreRejected) {
-  RomRig rig(15, 12, 3);
-  Rng rng(16);
-  std::vector<Vector> snaps;
-  for (int i = 0; i < 3; ++i) snaps.push_back(random_snapshot(rng, 9));
-  auto alien = std::make_shared<const rom::PodBasis>(
-      rom::build_pod_basis(snaps, 3));
-  rig.solver->install_basis(alien);  // wrong dimension: ignored, not fatal
-  EXPECT_EQ(rig.solver->basis(), nullptr);
-  EXPECT_THROW((void)rig.solver->solve(Vector(5, 1.0)), updec::Error);
-}
-
 // ---- pod-basis disk codec -------------------------------------------------
 
 TEST(PodBasisCodec, RoundTripsBitExactly) {
@@ -298,79 +187,87 @@ TEST(PodBasisCodec, RejectsTruncatedAndNonOrthonormalPayloads) {
 
 // ---- cache integration ----------------------------------------------------
 
-TEST(OperatorCacheRom, PutTryGetAndPerClassStats) {
-  serve::OperatorCache cache(std::size_t{1} << 20, "");
-  const serve::CacheKey key = serve::pod_basis_key(42);
+std::string fresh_cache_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "updec_rom_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
 
-  EXPECT_EQ(cache.try_get<rom::PodBasis>(key, "pod-basis"), nullptr);
-
-  Rng rng(19);
-  std::vector<Vector> snaps;
-  for (int i = 0; i < 4; ++i) snaps.push_back(random_snapshot(rng, 8));
-  auto v1 = std::make_shared<const rom::PodBasis>(
-      rom::build_pod_basis(snaps, 2));
-  cache.put<rom::PodBasis>(key, {v1, serve::pod_basis_bytes(*v1)},
-                           "pod-basis");
-  EXPECT_EQ(cache.try_get<rom::PodBasis>(key, "pod-basis"), v1);
-
-  // put() REPLACES (get_or_compute would have kept the old artefact), and
-  // replacement must not be misreported as an eviction.
-  auto v2 = std::make_shared<const rom::PodBasis>(
-      rom::build_pod_basis(snaps, 4));
-  cache.put<rom::PodBasis>(key, {v2, serve::pod_basis_bytes(*v2)},
-                           "pod-basis");
-  EXPECT_EQ(cache.try_get<rom::PodBasis>(key, "pod-basis"), v2);
-
-  const serve::OperatorCache::Stats s = cache.stats();
-  const auto it = s.by_class.find("pod-basis");
-  ASSERT_NE(it, s.by_class.end());
-  EXPECT_EQ(it->second.hits, 2u);
-  EXPECT_EQ(it->second.misses, 1u);
-  EXPECT_EQ(it->second.evictions, 0u);
-  EXPECT_EQ(it->second.entries, 1u);
-  EXPECT_EQ(it->second.bytes, serve::pod_basis_bytes(*v2));
+/// `basis` under the "pod-basis" class for `fingerprint`: served from memory
+/// or a verified disk entry when present, else stored (each store counted
+/// in `*computes`).
+std::shared_ptr<const rom::PodBasis> pod_through_cache(
+    serve::OperatorCache& cache, std::uint64_t fingerprint,
+    const rom::PodBasis& basis, int* computes) {
+  using Sized = serve::OperatorCache::Sized<rom::PodBasis>;
+  return cache.get_or_compute_disk<rom::PodBasis>(
+      serve::KeyBuilder("pod-basis").add(fingerprint).key(),
+      [&] {
+        ++*computes;
+        auto value = std::make_shared<const rom::PodBasis>(basis);
+        return Sized{value, serve::pod_basis_bytes(*value)};
+      },
+      serve::encode_pod_basis,
+      [](std::string_view payload) {
+        auto value = std::make_shared<const rom::PodBasis>(
+            serve::decode_pod_basis(payload));
+        return Sized{value, serve::pod_basis_bytes(*value)};
+      },
+      "pod-basis");
 }
 
 TEST(OperatorCacheRom, StoreAndWarmRestartThroughDisk) {
-  const std::string dir = ::testing::TempDir() + "rom_cache_test";
+  const std::string dir = fresh_cache_dir("warm");
   Rng rng(20);
   std::vector<Vector> snaps;
   for (int i = 0; i < 4; ++i) snaps.push_back(random_snapshot(rng, 8));
   rom::PodBasis basis = rom::build_pod_basis(snaps, 3);
   basis.snapshot_count = 4;
 
+  int computes = 0;
   {
     serve::OperatorCache cache(std::size_t{1} << 20, dir);
-    serve::store_pod_basis(cache, 99, basis);
+    (void)pod_through_cache(cache, 99, basis, &computes);
+    EXPECT_EQ(computes, 1);
     EXPECT_GE(cache.stats().disk.writes, 1u);
   }
   // A NEW process (fresh cache, same directory) warm-restarts from disk.
   serve::OperatorCache cache(std::size_t{1} << 20, dir);
-  const auto loaded = serve::cached_pod_basis(cache, 99);
+  const auto loaded = pod_through_cache(cache, 99, basis, &computes);
   ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(computes, 1);  // served, not stored again
   EXPECT_EQ(loaded->k(), basis.k());
   EXPECT_EQ(loaded->snapshot_count, 4u);
+  for (std::size_t i = 0; i < basis.n(); ++i)
+    for (std::size_t j = 0; j < basis.k(); ++j)
+      EXPECT_EQ(loaded->modes(i, j), basis.modes(i, j));
   EXPECT_GE(cache.stats().disk.hits, 1u);
   // Promotion parked it in memory: the next probe is a pure memory hit.
-  EXPECT_NE(cache.try_get<rom::PodBasis>(serve::pod_basis_key(99),
-                                         "pod-basis"),
-            nullptr);
-  // Unknown fingerprints stay cold misses, not errors.
-  EXPECT_EQ(serve::cached_pod_basis(cache, 100), nullptr);
+  EXPECT_EQ(pod_through_cache(cache, 99, basis, &computes), loaded);
+  const serve::OperatorCache::Stats s = cache.stats();
+  const auto it = s.by_class.find("pod-basis");
+  ASSERT_NE(it, s.by_class.end());
+  EXPECT_EQ(it->second.hits, 1u);
+  EXPECT_EQ(it->second.entries, 1u);
+  EXPECT_EQ(it->second.bytes, serve::pod_basis_bytes(basis));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OperatorCacheRom, CorruptDiskEntryIsRejectedNotServed) {
-  const std::string dir = ::testing::TempDir() + "rom_cache_corrupt";
+  const std::string dir = fresh_cache_dir("corrupt");
   Rng rng(21);
   std::vector<Vector> snaps;
   for (int i = 0; i < 4; ++i) snaps.push_back(random_snapshot(rng, 8));
   const rom::PodBasis basis = rom::build_pod_basis(snaps, 3);
+  const serve::CacheKey key =
+      serve::KeyBuilder("pod-basis").add(std::uint64_t{7}).key();
   std::string path;
+  int computes = 0;
   {
     serve::OperatorCache cache(std::size_t{1} << 20, dir);
-    serve::store_pod_basis(cache, 7, basis);
+    (void)pod_through_cache(cache, 7, basis, &computes);
     ASSERT_NE(cache.disk(), nullptr);
-    path = cache.disk()->path_for(serve::pod_basis_key(7));
+    path = cache.disk()->path_for(key);
   }
   {  // flip one payload byte on disk
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -383,34 +280,11 @@ TEST(OperatorCacheRom, CorruptDiskEntryIsRejectedNotServed) {
     f.write(&c, 1);
   }
   serve::OperatorCache cache(std::size_t{1} << 20, dir);
-  EXPECT_EQ(serve::cached_pod_basis(cache, 7), nullptr);
+  (void)pod_through_cache(cache, 7, basis, &computes);
+  EXPECT_EQ(computes, 2);  // the corrupt payload was rebuilt, not served
   EXPECT_GE(cache.stats().disk.corrupt, 1u);
-}
-
-// ---- env knobs ------------------------------------------------------------
-
-TEST(RomConfig, EnvKnobsParseAndDefaultsHold) {
-  const rom::RomConfig defaults = rom::config_from_env();
-  EXPECT_FALSE(defaults.enabled);
-  EXPECT_GT(defaults.tol, 0.0);
-  EXPECT_GE(defaults.min_snapshots, 1u);
-
-  ::setenv("UPDEC_ROM", "1", 1);
-  ::setenv("UPDEC_ROM_TOL", "1e-5", 1);
-  ::setenv("UPDEC_ROM_MAX_K", "17", 1);
-  ::setenv("UPDEC_ROM_MIN_SNAPSHOTS", "5", 1);
-  ::setenv("UPDEC_ROM_SNAPSHOT_BYTES", "1048576", 1);
-  const rom::RomConfig c = rom::config_from_env();
-  ::unsetenv("UPDEC_ROM");
-  ::unsetenv("UPDEC_ROM_TOL");
-  ::unsetenv("UPDEC_ROM_MAX_K");
-  ::unsetenv("UPDEC_ROM_MIN_SNAPSHOTS");
-  ::unsetenv("UPDEC_ROM_SNAPSHOT_BYTES");
-  EXPECT_TRUE(c.enabled);
-  EXPECT_DOUBLE_EQ(c.tol, 1e-5);
-  EXPECT_EQ(c.max_k, 17u);
-  EXPECT_EQ(c.min_snapshots, 5u);
-  EXPECT_EQ(c.snapshot_bytes, std::size_t{1} << 20);
+  EXPECT_EQ(cache.stats().disk.hits, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
