@@ -162,6 +162,10 @@ const std::vector<PinnedCase>& pinned_cases() {
       {"sharded_vs_single", 0x4e1b83c6d90f2a57ull, 8,
        "stress pin: mixed-grid batch through 1- and 4-shard pools must "
        "replay the in-process costs bitwise"},
+      {"dp_rollout_vs_unrolled", 0x5eed0274ull, 350,
+       "Table 3's channel DP row: 350 nodes, Re 100, k = 3 at a cap of 150 "
+       "steps with steady_tol 1e-9 (two capped refinements, one early "
+       "exit, 418 steps)"},
   };
   return cases;
 }

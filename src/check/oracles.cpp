@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #ifdef UPDEC_HAVE_OPENMP
@@ -18,6 +19,7 @@
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 #include "la/robust_solve.hpp"
+#include "pde/channel_flow.hpp"
 #include "pointcloud/generators.hpp"
 #include "rbf/collocation.hpp"
 #include "rbf/rbffd.hpp"
@@ -433,17 +435,24 @@ OracleResult threaded_vs_serial(const OracleCase& c) {
     return s;
   };
 
+  // The threaded side gets an explicit team of every core (at least two):
+  // under OMP_NUM_THREADS=1 the inherited team would compare one thread
+  // with one thread.
   const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-  Snapshot serial;
-  try {
-    serial = compute();
-  } catch (...) {
-    omp_set_num_threads(saved_threads);
-    throw;
-  }
-  omp_set_num_threads(saved_threads);
-  const Snapshot threaded = compute();
+  const int team = std::max(2, omp_get_num_procs());
+  const auto run_with = [&](int threads) {
+    omp_set_num_threads(threads);
+    try {
+      Snapshot s = compute();
+      omp_set_num_threads(saved_threads);
+      return s;
+    } catch (...) {
+      omp_set_num_threads(saved_threads);
+      throw;
+    }
+  };
+  const Snapshot serial = run_with(1);
+  const Snapshot threaded = run_with(team);
 
   double err = 0.0;
   std::string worst = "none";
@@ -462,7 +471,7 @@ OracleResult threaded_vs_serial(const OracleCase& c) {
   consider("rbffd_weights", max_abs_diff(serial.rbffd_lap, threaded.rbffd_lap));
 
   std::ostringstream os;
-  os << "OpenMP (" << saved_threads << " threads) vs forced serial run "
+  os << "OpenMP (" << team << " threads) vs forced serial run "
      << "(n=" << n << ", worst kernel " << worst << " at " << err
      << "; row-parallel loops must be bitwise deterministic)";
   return judged(err, 0.0, os.str());
@@ -627,6 +636,104 @@ OracleResult sharded_vs_single(const OracleCase& c) {
   return judged(0.0, 0.0, os.str());
 }
 
+// ---- DP rollout op vs the unrolled scalar tape ----------------------------
+
+OracleResult dp_rollout_vs_unrolled(const OracleCase& c) {
+  Rng rng(c.seed);
+  pde::ChannelFlowConfig config;
+  config.reynolds = rng.uniform_index(2) == 0 ? 10.0 : 100.0;
+  config.refinements = 1 + rng.uniform_index(4);
+  // Capped rollouts run every refinement to a short cap; early-exit ones
+  // get Table 3's cap of 150 or more, which some refinements reach and
+  // others leave early.
+  const bool capped = rng.uniform_index(2) == 0;
+  config.steady_tol = capped ? 0.0 : 1e-9;
+  config.steps_per_refinement =
+      capped ? 5 + rng.uniform_index(36) : 150 + rng.uniform_index(51);
+  pc::ChannelSpec spec;
+  spec.target_nodes = std::clamp<std::size_t>(c.size, 200, 350);
+  const rbf::PolyharmonicSpline kernel(3);
+
+  // A rollout that blows up has no gradient worth comparing, and some
+  // random clouds blow up: at Re 100 early in the second refinement after
+  // a long first one, and a rare cloud within tens of steps at Re 10.
+  // Redraw the cloud until the plain rollout stays finite and bounded
+  // (|u|, |v| <= 10 against an O(1) inflow); the eighth failure counts.
+  std::unique_ptr<pc::PointCloud> cloud;
+  std::unique_ptr<pde::ChannelFlowSolver> solver;
+  la::Vector inflow;
+  int draws = 0;
+  for (bool bounded = false; !bounded;) {
+    if (++draws > 8)
+      return judged(1.0, 0.0,
+                    "eight random channel clouds in a row blew up before "
+                    "their rollout ended");
+    spec.seed = rng.next_u64();
+    cloud = std::make_unique<pc::PointCloud>(pc::channel_cloud(spec));
+    solver = std::make_unique<pde::ChannelFlowSolver>(*cloud, kernel, config,
+                                                      spec);
+    inflow = solver->parabolic_inflow();
+    for (std::size_t q = 0; q < inflow.size(); ++q)
+      inflow[q] *= 1.0 + rng.uniform(-0.1, 0.1);
+    try {
+      const pde::Flow flow = solver->solve(inflow);
+      bounded = std::max(la::nrm_inf(flow.u), la::nrm_inf(flow.v)) <= 10.0;
+    } catch (const Error&) {
+      // diverged to a non-finite velocity: draw again
+    }
+  }
+  const std::size_t n = cloud->size();
+  // The channel cost plus random weights on every output (u, v and p at
+  // every node), so each output's adjoint path is exercised.
+  const la::Vector wu = random_vector(rng, n, 0.01);
+  const la::Vector wv = random_vector(rng, n, 0.01);
+  const la::Vector wp = random_vector(rng, n, 0.01);
+
+  const auto gradient = [&](bool unrolled, double& j_value,
+                            std::size_t& steps) {
+    ad::Tape tape;
+    const ad::VarVec vc = ad::make_variables(tape, inflow);
+    const pde::FlowAd flow = unrolled
+                                 ? solver->solve_unrolled_reference(tape, vc)
+                                 : solver->solve(tape, vc);
+    const auto& outlet = solver->outlet_nodes();
+    const auto& ys = solver->outlet_y();
+    const auto& w = solver->outlet_quadrature();
+    ad::Var j = tape.constant(0.0);
+    for (std::size_t q = 0; q < outlet.size(); ++q) {
+      const ad::Var du = flow.u[outlet[q]] - solver->target_outflow(ys[q]);
+      const ad::Var dv = flow.v[outlet[q]];
+      j = j + 0.5 * w[q] * (du * du + dv * dv);
+    }
+    j = j + ad::dot(flow.u, wu) + ad::dot(flow.v, wv) + ad::dot(flow.p, wp);
+    tape.backward(j);
+    j_value = j.value();
+    steps = flow.steps_taken;
+    return ad::adjoints(vc);
+  };
+  double j_op = 0.0, j_ref = 0.0;
+  std::size_t steps_op = 0, steps_ref = 0;
+  const la::Vector g_op = gradient(false, j_op, steps_op);
+  const la::Vector g_ref = gradient(true, j_ref, steps_ref);
+
+  std::ostringstream os;
+  os << "DP rollout op vs unrolled scalar tape (cloud draw " << draws << ", "
+     << n << " nodes, Re "
+     << config.reynolds << ", k " << config.refinements << ", cap "
+     << config.steps_per_refinement << ", steady_tol " << config.steady_tol
+     << ", " << steps_op << " steps";
+  if (j_op != j_ref || steps_op != steps_ref) {
+    os << "): J " << j_op << " vs " << j_ref << ", steps " << steps_op
+       << " vs " << steps_ref << " (must be bitwise equal)";
+    return judged(1.0, 0.0, os.str());
+  }
+  la::Vector diff = g_op;
+  la::axpy(-1.0, g_ref, diff);
+  const double err = la::nrm2(diff) / (la::nrm2(g_ref) + 1e-300);
+  os << ", J bitwise equal, gradient rel diff " << err << ")";
+  return judged(err, 1e-10, os.str());
+}
+
 // ---- catalogue ------------------------------------------------------------
 
 const std::vector<Oracle>& all_oracles() {
@@ -660,6 +767,9 @@ const std::vector<Oracle>& all_oracles() {
       {"sharded_vs_single",
        "multi-process shard pools vs a plain in-process scenario run", 4, 12,
        &sharded_vs_single},
+      {"dp_rollout_vs_unrolled",
+       "channel DP rollout op vs the same rollout on the scalar tape", 200,
+       350, &dp_rollout_vs_unrolled},
   };
   return oracles;
 }

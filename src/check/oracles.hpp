@@ -7,8 +7,9 @@
 /// must agree: reverse-mode AD against central finite differences, the DAL
 /// adjoint gradient against the DP gradient (the paper's central
 /// consistency claim), the sparse band LU against dense LU, batched multi-RHS sweeps against looped
-/// single solves, warm operator-cache hits against cold computes, and
-/// OpenMP runs against single-threaded runs.
+/// single solves, warm operator-cache hits against cold computes, OpenMP
+/// runs against single-threaded runs, and the channel DP rollout op
+/// against the same rollout on the scalar tape.
 ///
 /// The same oracle functions back two front ends: tests/test_properties.cpp
 /// runs a bounded number of trials per family inside gtest (tier-1), and
@@ -95,9 +96,10 @@ OracleResult batched_vs_looped(const OracleCase& c);
 OracleResult cached_vs_cold(const OracleCase& c);
 
 /// OpenMP parallel kernels (gemm, SpMV, batched LU sweeps, collocation
-/// assembly, RBF-FD weights) against the same computations with the OpenMP
-/// team forced to one thread. All row-parallel loops carry sequential
-/// per-row accumulations, so results must be bit-for-bit identical.
+/// assembly, RBF-FD weights) on an explicit team of max(2, cores) threads
+/// against the same computations with the team forced to one thread. All
+/// row-parallel loops carry sequential per-row accumulations, so results
+/// must be bit-for-bit identical.
 /// Skipped (ok, skipped = true) when OpenMP is not compiled in.
 /// size = matrix dimension.
 OracleResult threaded_vs_serial(const OracleCase& c);
@@ -105,6 +107,14 @@ OracleResult threaded_vs_serial(const OracleCase& c);
 /// Cholesky and Householder QR against LU on random SPD systems, plus the
 /// L L^T round trip and log-determinant agreement. size = matrix dimension.
 OracleResult factorization_consistency(const OracleCase& c);
+
+/// The channel DP solve (one tape operation over the stored step states,
+/// reversed through the hand-written step adjoint) against the same rollout
+/// recorded scalar by scalar, on a random channel cloud at Re 10 or 100
+/// with k in 1..4, capped (steady_tol 0) or with early exits (1e-9): J and
+/// the step count bitwise equal, the gradient within 1e-10 relative in
+/// norm. size = target node count.
+OracleResult dp_rollout_vs_unrolled(const OracleCase& c);
 
 /// The sharded multi-process serving tier against a plain in-process run.
 /// A random scenario batch (mixed grid families, seeds and iteration

@@ -48,17 +48,15 @@ la::Vector ChannelFlowControlProblem::outflow_profile(
 
 namespace {
 
-/// DP: the projection rollout and the cost live on one tape.
+/// DP: the projection rollout (one tape operation over the stored step
+/// states) and the cost live on one tape.
 class ChannelDpStrategy final : public GradientStrategy {
  public:
   ChannelDpStrategy(std::shared_ptr<const ChannelFlowControlProblem> p,
-                    double smoothing, bool last_refinement_only = false)
-      : problem_(std::move(p)),
-        smoothing_(smoothing),
-        last_refinement_only_(last_refinement_only) {}
+                    double smoothing)
+      : problem_(std::move(p)), smoothing_(smoothing) {}
 
   [[nodiscard]] std::string name() const override {
-    if (last_refinement_only_) return "DP(truncated)";
     return smoothing_ > 0.0 ? "DP(smoothed)" : "DP";
   }
 
@@ -67,9 +65,7 @@ class ChannelDpStrategy final : public GradientStrategy {
     const auto& solver = problem_->solver();
     tape_.clear();
     const ad::VarVec c = ad::make_variables(tape_, control);
-    const pde::FlowAd flow = last_refinement_only_
-                                 ? solver.solve_last_refinement(tape_, c)
-                                 : solver.solve(tape_, c);
+    const pde::FlowAd flow = solver.solve(tape_, c);
     const auto& outlet = solver.outlet_nodes();
     const auto& ys = solver.outlet_y();
     const auto& w = solver.outlet_quadrature();
@@ -91,21 +87,26 @@ class ChannelDpStrategy final : public GradientStrategy {
     }
     tape_.backward(j);
     gradient = ad::adjoints(c);
-    peak_tape_bytes_ = std::max(peak_tape_bytes_, tape_.memory_bytes());
+    // The rollout's stored step states live in its tape operation, out of
+    // Tape::memory_bytes()'s sight.
+    peak_scratch_bytes_ =
+        std::max(peak_scratch_bytes_,
+                 tape_.memory_bytes() +
+                     solver.stored_state_bytes(flow.steps_taken));
     return j_raw;
   }
 
-  /// Tape footprint of the largest rollout (Table 3 memory narrative).
+  /// Tape plus stored step states of the largest rollout (Table 3 memory
+  /// narrative).
   [[nodiscard]] std::size_t scratch_bytes() const override {
-    return peak_tape_bytes_;
+    return peak_scratch_bytes_;
   }
 
  private:
   std::shared_ptr<const ChannelFlowControlProblem> problem_;
   double smoothing_;
-  bool last_refinement_only_;
   ad::Tape tape_;
-  std::size_t peak_tape_bytes_ = 0;
+  std::size_t peak_scratch_bytes_ = 0;
 };
 
 /// DAL: continuous adjoint Navier-Stokes, marched to steady state with the
@@ -299,11 +300,6 @@ std::unique_ptr<GradientStrategy> make_channel_dp(
     std::shared_ptr<const ChannelFlowControlProblem> problem,
     double smoothing) {
   return std::make_unique<ChannelDpStrategy>(std::move(problem), smoothing);
-}
-
-std::unique_ptr<GradientStrategy> make_channel_dp_truncated(
-    std::shared_ptr<const ChannelFlowControlProblem> problem) {
-  return std::make_unique<ChannelDpStrategy>(std::move(problem), 0.0, true);
 }
 
 std::unique_ptr<GradientStrategy> make_channel_dal(

@@ -6,7 +6,8 @@
 ///   J = 1/2 int_0^Ly ( |u(Lx,y) - 4 y (Ly-y)/Ly^2|^2 + |v(Lx,y)|^2 ) dy.
 ///
 /// Strategies:
-///  * DP  -- reverse tape through the whole k-refinement projection rollout,
+///  * DP  -- exact reverse sweep through the whole k-refinement projection
+///           rollout (one tape operation over the stored step states),
 ///  * DAL -- continuous adjoint Navier-Stokes equations marched to steady
 ///           state with the same projection machinery (the scheme whose
 ///           gradient quality collapses at Re = 100 in the paper),
@@ -61,11 +62,6 @@ class ChannelFlowControlProblem final : public ControlProblem {
 std::unique_ptr<GradientStrategy> make_channel_dp(
     std::shared_ptr<const ChannelFlowControlProblem> problem,
     double smoothing = 0.0);
-/// Memory-lean DP: tapes only the final Picard refinement (approximate
-/// gradient, tape memory ~1/k of full DP). See
-/// ChannelFlowSolver::solve_last_refinement.
-std::unique_ptr<GradientStrategy> make_channel_dp_truncated(
-    std::shared_ptr<const ChannelFlowControlProblem> problem);
 
 std::unique_ptr<GradientStrategy> make_channel_dal(
     std::shared_ptr<const ChannelFlowControlProblem> problem);

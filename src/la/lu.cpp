@@ -111,16 +111,25 @@ Vector LuFactorization::solve_transpose(const Vector& b) const {
   UPDEC_REQUIRE(b.size() == size(), "solve dimension mismatch");
   const std::size_t n = size();
   // A^T = (P^T L U)^T = U^T L^T P, so solve U^T y = b, L^T z = y, x = P^T z.
+  // Column i of U^T (of L^T) is row i of U (of L): each sweep reads the
+  // packed factors by row and eliminates a solved entry from the rest with
+  // one contiguous axpy, as solve_many does.
   Vector y = b;
+  double* UPDEC_RESTRICT yp = y.data();
   for (std::size_t i = 0; i < n; ++i) {
-    double s = y[i];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * y[j];
-    y[i] = s / lu_(i, i);
+    const double* UPDEC_RESTRICT ui = lu_.row(i);
+    const double yi = yp[i] / ui[i];
+    yp[i] = yi;
+    if (yi == 0.0) continue;
+    UPDEC_PRAGMA_SIMD
+    for (std::size_t j = i + 1; j < n; ++j) yp[j] -= ui[j] * yi;
   }
   for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(j, ii) * y[j];
-    y[ii] = s;  // unit diagonal
+    const double* UPDEC_RESTRICT li = lu_.row(ii);
+    const double yi = yp[ii];  // unit diagonal
+    if (yi == 0.0) continue;
+    UPDEC_PRAGMA_SIMD
+    for (std::size_t j = 0; j < ii; ++j) yp[j] -= li[j] * yi;
   }
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = y[i];

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numbers>
 #include <string>
+#include <utility>
 
 #include "la/blas.hpp"
 #include "la/robust_solve.hpp"
@@ -187,16 +188,18 @@ FlowState<typename Backend::Vec> ChannelFlowSolver::initial_state(
   return state;
 }
 
-template <typename Backend>
-void ChannelFlowSolver::run_refinements(
-    const Backend& backend, FlowState<typename Backend::Vec>& state,
-    const typename Backend::Vec& inflow, std::size_t count) const {
+template <typename Backend, typename BeforeStep>
+FlowState<typename Backend::Vec> ChannelFlowSolver::run(
+    const Backend& backend, const typename Backend::Vec& inflow,
+    BeforeStep&& before_step) const {
   using Vec = typename Backend::Vec;
   const std::size_t n = cloud_->size();
   const double dt = config_.dt;
   const double adv_dt = config_.advection * dt;
+  FlowState<Vec> state = initial_state(backend, inflow);
 
-  for (std::size_t refinement = 0; refinement < count; ++refinement) {
+  for (std::size_t refinement = 0; refinement < config_.refinements;
+       ++refinement) {
     // Picard re-linearisation: freeze the advecting velocity for this
     // refinement (values update between refinements; in the DP path the
     // gradient still flows through the frozen field into earlier
@@ -205,6 +208,7 @@ void ChannelFlowSolver::run_refinements(
     const Vec v_adv = state.v;
 
     for (std::size_t step = 0; step < config_.steps_per_refinement; ++step) {
+      before_step(refinement, std::as_const(state));
       // Semi-implicit predictor: explicit (Picard-frozen) advection,
       // implicit diffusion through the constant momentum factorisation.
       //   (I - dt/Re Lap) u* = u - dt (u_adv . grad) u   (interior rows)
@@ -249,18 +253,18 @@ void ChannelFlowSolver::run_refinements(
       const Vec dyp = backend.spmv(dy_, p);
       Vec unew = ustar;
       Vec vnew = vstar;
+      // Largest change this step; a NaN sticks (std::max would drop it).
       double max_delta = 0.0;
+      const auto track = [&max_delta](double delta) {
+        if (delta > max_delta || std::isnan(delta)) max_delta = delta;
+      };
       for (std::size_t i = 0; i < n; ++i) {
         if (is_interior_[i]) {
           unew[i] = ustar[i] - dt * dxp[i];
           vnew[i] = vstar[i] - dt * dyp[i];
         }
-        max_delta = std::max(
-            max_delta, std::abs(Backend::value(unew[i]) -
-                                Backend::value(state.u[i])));
-        max_delta = std::max(
-            max_delta, std::abs(Backend::value(vnew[i]) -
-                                Backend::value(state.v[i])));
+        track(std::abs(Backend::value(unew[i]) - Backend::value(state.u[i])));
+        track(std::abs(Backend::value(vnew[i]) - Backend::value(state.v[i])));
       }
       apply_velocity_bcs(backend, unew, vnew, inflow);
       state.u = std::move(unew);
@@ -277,21 +281,13 @@ void ChannelFlowSolver::run_refinements(
       if (max_delta / dt < config_.steady_tol) break;
     }
   }
-}
-
-template <typename Backend>
-FlowState<typename Backend::Vec> ChannelFlowSolver::run(
-    const Backend& backend, const typename Backend::Vec& inflow) const {
-  auto state = initial_state(backend, inflow);
-  run_refinements(backend, state, inflow, config_.refinements);
   return state;
 }
 
 Flow ChannelFlowSolver::solve(const la::Vector& inflow) const {
   UPDEC_TRACE_SCOPE("pde/channel_solve");
   UPDEC_METRIC_ADD("pde/channel.solves", 1);
-  const DoubleBackend backend;
-  Flow flow = run(backend, inflow);
+  Flow flow = run(DoubleBackend{}, inflow, [](std::size_t, const Flow&) {});
   UPDEC_METRIC_OBSERVE("pde/channel.steps_to_steady",
                        static_cast<double>(flow.steps_taken));
   return flow;
@@ -301,35 +297,160 @@ FlowAd ChannelFlowSolver::solve(ad::Tape& tape,
                                 const ad::VarVec& inflow) const {
   UPDEC_TRACE_SCOPE("pde/channel_solve_ad");
   UPDEC_METRIC_ADD("pde/channel.ad_solves", 1);
-  const TapeBackend backend{&tape};
-  return run(backend, inflow);
+  const std::size_t n = cloud_->size();
+  RolloutTrace trace;
+  trace.steps.assign(config_.refinements, 0);
+  const Flow flow = run(DoubleBackend{}, ad::values(inflow),
+                        [&trace](std::size_t refinement, const Flow& state) {
+                          trace.u.push_back(state.u);
+                          trace.v.push_back(state.v);
+                          ++trace.steps[refinement];
+                        });
+
+  std::vector<double> outputs;
+  outputs.reserve(3 * n);
+  for (const la::Vector* field : {&flow.u, &flow.v, &flow.p})
+    outputs.insert(outputs.end(), field->std().begin(), field->std().end());
+  std::vector<std::int64_t> inflow_idx(inflow.size());
+  for (std::size_t q = 0; q < inflow.size(); ++q)
+    inflow_idx[q] = inflow[q].index();
+  const std::int64_t start = tape.custom_op(
+      outputs, [this, n, trace = std::move(trace),
+                inflow_idx = std::move(inflow_idx)](ad::Tape& t,
+                                                    std::int64_t out) {
+        la::Vector ubar(n), vbar(n), pbar(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto at = out + static_cast<std::int64_t>(i);
+          ubar[i] = t.adjoint(at);
+          vbar[i] = t.adjoint(at + static_cast<std::int64_t>(n));
+          pbar[i] = t.adjoint(at + static_cast<std::int64_t>(2 * n));
+        }
+        const la::Vector cbar =
+            rollout_vjp(trace, std::move(ubar), std::move(vbar), pbar);
+        for (std::size_t q = 0; q < inflow_idx.size(); ++q)
+          t.adjoint_ref(inflow_idx[q]) += cbar[q];
+      });
+
+  const auto output_block = [&](std::size_t block) {
+    ad::VarVec field(n);
+    for (std::size_t i = 0; i < n; ++i)
+      field[i] =
+          ad::Var(&tape, start + static_cast<std::int64_t>(block * n + i));
+    return field;
+  };
+  FlowAd result;
+  result.u = output_block(0);
+  result.v = output_block(1);
+  result.p = output_block(2);
+  result.steps_taken = flow.steps_taken;
+  return result;
 }
 
-FlowAd ChannelFlowSolver::solve_last_refinement(
+FlowAd ChannelFlowSolver::solve_unrolled_reference(
     ad::Tape& tape, const ad::VarVec& inflow) const {
-  UPDEC_TRACE_SCOPE("pde/channel_solve_ad");
-  UPDEC_METRIC_ADD("pde/channel.ad_solves", 1);
-  const TapeBackend taped{&tape};
-  if (config_.refinements <= 1) {
-    auto state = initial_state(taped, inflow);
-    run_refinements(taped, state, inflow, 1);
-    return state;
+  return run(TapeBackend{&tape}, inflow,
+             [](std::size_t, const FlowAd&) {});
+}
+
+la::Vector ChannelFlowSolver::rollout_vjp(const RolloutTrace& trace,
+                                          la::Vector ubar, la::Vector vbar,
+                                          const la::Vector& pbar) const {
+  const std::size_t n = cloud_->size();
+  la::Vector cbar(inlet_nodes_.size(), 0.0);
+  // The output p is the last step's pressure; no other step's is read.
+  const la::Vector* step_pbar = &pbar;
+  std::size_t end = trace.u.size();
+  for (std::size_t r = trace.steps.size(); r-- > 0;) {
+    const std::size_t begin = end - trace.steps[r];
+    if (begin == end) continue;
+    // The frozen advecting field is a copy of the state entering the
+    // refinement's first step; its adjoint joins that state's at the end.
+    la::Vector uabar(n, 0.0), vabar(n, 0.0);
+    for (std::size_t s = end; s-- > begin;) {
+      step_vjp(trace.u[s], trace.v[s], trace.u[begin], trace.v[begin], ubar,
+               vbar, step_pbar, uabar, vabar, cbar);
+      step_pbar = nullptr;
+    }
+    la::axpy(1.0, uabar, ubar);
+    la::axpy(1.0, vabar, vbar);
+    end = begin;
   }
-  // Detached warm-up: first k-1 refinements in plain arithmetic.
-  const DoubleBackend plain;
-  const la::Vector inflow_values = ad::values(inflow);
-  auto warm = initial_state(plain, inflow_values);
-  run_refinements(plain, warm, inflow_values, config_.refinements - 1);
-  // Final refinement on the tape, from the detached state; the inflow
-  // variables re-enter through the boundary conditions.
-  FlowAd state;
-  state.u = ad::make_constants(tape, warm.u);
-  state.v = ad::make_constants(tape, warm.v);
-  state.p = ad::make_constants(tape, warm.p);
-  state.steps_taken = warm.steps_taken;
-  apply_velocity_bcs(taped, state.u, state.v, inflow);
-  run_refinements(taped, state, inflow, 1);
-  return state;
+  // The initial state carries the inflow on its inlet nodes.
+  velocity_bcs_vjp(ubar, vbar, cbar);
+  return cbar;
+}
+
+void ChannelFlowSolver::step_vjp(const la::Vector& u, const la::Vector& v,
+                                 const la::Vector& ua, const la::Vector& va,
+                                 la::Vector& ubar, la::Vector& vbar,
+                                 const la::Vector* pbar, la::Vector& uabar,
+                                 la::Vector& vabar, la::Vector& cbar) const {
+  const std::size_t n = cloud_->size();
+  const double dt = config_.dt;
+  const double adv_dt = config_.advection * dt;
+
+  // Projection: u_new = u* - dt Dx p on interior rows (u* elsewhere), then
+  // the velocity BCs. u*'s adjoint is u_new's; p collects -dt Dx^T ubar.
+  velocity_bcs_vjp(ubar, vbar, cbar);
+  la::Vector p_total = pbar != nullptr ? *pbar : la::Vector(n, 0.0);
+  la::Vector dxp_bar(n, 0.0), dyp_bar(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!is_interior_[i]) continue;
+    dxp_bar[i] = -dt * ubar[i];
+    dyp_bar[i] = -dt * vbar[i];
+  }
+  dx_.spmv_t(1.0, dxp_bar, 1.0, p_total);
+  dy_.spmv_t(1.0, dyp_bar, 1.0, p_total);
+
+  // Pressure Poisson: p = P^{-1} (Dx u* + Dy v*) / dt on interior rows.
+  const la::Vector prhs_bar = pressure_op_.solve_transpose(p_total);
+  la::Vector div_bar(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    if (is_interior_[i]) div_bar[i] = prhs_bar[i] * (1.0 / dt);
+  dx_.spmv_t(1.0, div_bar, 1.0, ubar);
+  dy_.spmv_t(1.0, div_bar, 1.0, vbar);
+
+  // Predictor: u* = M^{-1} rhs, then the velocity BCs; the outlet rows of
+  // rhs are constants.
+  velocity_bcs_vjp(ubar, vbar, cbar);
+  la::Vector rhs_u_bar = momentum_op_.solve_transpose(ubar);
+  la::Vector rhs_v_bar = momentum_op_.solve_transpose(vbar);
+  for (const std::size_t i : outlet_nodes_) rhs_u_bar[i] = rhs_v_bar[i] = 0.0;
+
+  // rhs = u - adv_dt (ua Dx u + va Dy u) on interior rows, u elsewhere: the
+  // state's adjoint is rhs's plus the transposed advection products, and
+  // the frozen field's picks up the state's derivatives.
+  const la::Vector dxu = dx_.apply(u), dyu = dy_.apply(u);
+  const la::Vector dxv = dx_.apply(v), dyv = dy_.apply(v);
+  la::Vector gxu(n, 0.0), gyu(n, 0.0), gxv(n, 0.0), gyv(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!is_interior_[i]) continue;
+    const double au = -adv_dt * rhs_u_bar[i];
+    const double av = -adv_dt * rhs_v_bar[i];
+    gxu[i] = au * ua[i];
+    gyu[i] = au * va[i];
+    gxv[i] = av * ua[i];
+    gyv[i] = av * va[i];
+    uabar[i] += au * dxu[i] + av * dxv[i];
+    vabar[i] += au * dyu[i] + av * dyv[i];
+  }
+  ubar = std::move(rhs_u_bar);
+  vbar = std::move(rhs_v_bar);
+  dx_.spmv_t(1.0, gxu, 1.0, ubar);
+  dy_.spmv_t(1.0, gyu, 1.0, ubar);
+  dx_.spmv_t(1.0, gxv, 1.0, vbar);
+  dy_.spmv_t(1.0, gyv, 1.0, vbar);
+}
+
+void ChannelFlowSolver::velocity_bcs_vjp(la::Vector& ubar, la::Vector& vbar,
+                                         la::Vector& cbar) const {
+  // In reverse order of apply_velocity_bcs: walls, then inlet.
+  for (const std::size_t i : wall_nodes_) ubar[i] = vbar[i] = 0.0;
+  for (std::size_t q = 0; q < inlet_nodes_.size(); ++q) {
+    const std::size_t i = inlet_nodes_[q];
+    cbar[q] += ubar[i];
+    ubar[i] = vbar[i] = 0.0;
+  }
 }
 
 }  // namespace updec::pde

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
+#include "autodiff/ops.hpp"
 #include "control/channel_problem.hpp"
 #include "control/driver.hpp"
 #include "la/blas.hpp"
@@ -137,23 +139,42 @@ TEST(ChannelControl, SmoothingPenaltyAddsExactTikhonovGradient) {
     EXPECT_NEAR(g_smooth[q] - g_plain[q], expected[q], 1e-10);
 }
 
-TEST(ChannelControl, TruncatedDpSavesMemoryAndApproximatesTheGradient) {
+TEST(ChannelControl, DpTapeIsFlatAndStoredStatesGrowSixteenBytesPerStep) {
+  // What one DP gradient keeps: a tape that does not grow with the step
+  // budget, plus each projection step's input (u, v), 16 n bytes, which
+  // scratch_bytes() counts next to the tape.
   const updec::rbf::PolyharmonicSpline kernel(3);
-  const auto problem = make_problem(kernel, 20.0, 4, 60);
-  auto full = updec::control::make_channel_dp(problem);
-  auto truncated = updec::control::make_channel_dp_truncated(problem);
-  EXPECT_EQ(truncated->name(), "DP(truncated)");
-  Vector c = problem->initial_control();
-  for (std::size_t i = 0; i < c.size(); ++i) c[i] *= 1.1;
-  Vector g_full, g_trunc;
-  const double j_full = full->value_and_gradient(c, g_full);
-  const double j_trunc = truncated->value_and_gradient(c, g_trunc);
-  // Same forward values (the warm-up runs the same arithmetic).
-  EXPECT_NEAR(j_full, j_trunc, 1e-11);
-  // Tape at most ~1/2 of the full rollout's (here: 1 of 4 refinements).
-  EXPECT_LT(truncated->scratch_bytes(), full->scratch_bytes() / 2);
-  // The truncated gradient is an approximation that still points uphill.
-  EXPECT_GT(cosine(g_full, g_trunc), 0.5);
+  ChannelSpec spec;
+  spec.target_nodes = 300;
+  std::vector<std::size_t> tape_nodes, scratch, steps_taken;
+  std::size_t n = 0;
+  for (const std::size_t steps : {20, 45}) {
+    ChannelFlowConfig config;
+    config.reynolds = 20.0;
+    config.refinements = 2;
+    config.steps_per_refinement = steps;
+    config.steady_tol = 0.0;  // every refinement runs to its cap
+    const auto problem =
+        std::make_shared<ChannelFlowControlProblem>(spec, kernel, config);
+    n = problem->cloud().size();
+    const Vector c = problem->initial_control();
+
+    updec::ad::Tape tape;
+    const updec::ad::VarVec vc = updec::ad::make_variables(tape, c);
+    const updec::pde::FlowAd flow = problem->solver().solve(tape, vc);
+    tape_nodes.push_back(tape.size());
+    steps_taken.push_back(flow.steps_taken);
+
+    auto dp = updec::control::make_channel_dp(problem);
+    Vector g;
+    dp->value_and_gradient(c, g);
+    scratch.push_back(dp->scratch_bytes());
+  }
+  EXPECT_EQ(steps_taken[0], 40u);
+  EXPECT_EQ(steps_taken[1], 90u);
+  EXPECT_EQ(tape_nodes[0], tape_nodes[1]);
+  EXPECT_EQ(scratch[1] - scratch[0],
+            16 * n * (steps_taken[1] - steps_taken[0]));
 }
 
 TEST(ChannelControl, InitialControlIsParabolic) {

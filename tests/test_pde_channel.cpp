@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "la/blas.hpp"
 #include "pde/channel_flow.hpp"
@@ -224,6 +225,16 @@ TEST_F(ChannelTest, TapeGradientMatchesFiniteDifferences) {
 TEST_F(ChannelTest, RejectsWrongInflowSize) {
   const ChannelFlowSolver solver(cloud_, kernel_, quick_config(), spec_);
   EXPECT_THROW(solver.solve(Vector(2, 0.0)), updec::Error);
+}
+
+TEST_F(ChannelTest, NanVelocityIsReportedAsDivergence) {
+  // A NaN in the state must trip the divergence guard. A guard built on
+  // std::max drops NaN deltas, so the rollout read a zero change, took the
+  // NaN state for steady and returned it as the solution.
+  const ChannelFlowSolver solver(cloud_, kernel_, quick_config(), spec_);
+  Vector inflow = solver.parabolic_inflow();
+  inflow[inflow.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(solver.solve(inflow), updec::Error);
 }
 
 // Regression: on the paper's 1385-node cloud every momentum and pressure

@@ -47,6 +47,10 @@ FamilyBudget budget_for(const std::string& name) {
   // refinement_vs_uniform runs three full DAL optimize rounds plus two
   // adapt/transfer steps per trial; two trials cover the size range.
   if (name == "refinement_vs_uniform") return {13, 2};
+  // dp_rollout_vs_unrolled tapes the reference rollout scalar by scalar
+  // (up to ~4M nodes at 350 nodes with early exits); three trials over the
+  // whole node range cost a few seconds.
+  if (name == "dp_rollout_vs_unrolled") return {350, 3};
   return {32, 3};
 }
 
