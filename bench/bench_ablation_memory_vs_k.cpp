@@ -1,9 +1,9 @@
 // Memory-vs-refinements ablation (section 4): "DP as conceived in this
 // study can be memory inefficient due to storage ... the computational
 // complexity scales super-linearly with the number of refinement steps k."
-// Measure what one DP gradient keeps -- tape nodes and the rollout's stored
-// step states -- with the process peak RSS and the gradient wall-clock, as
-// a function of k.
+// Measure what one DP gradient keeps -- tape nodes, and the tape's bytes,
+// which count the rollout's stored step states -- with the process peak RSS
+// and the gradient wall-clock, as a function of k.
 
 #include <iostream>
 
@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
 
   TextTable table("DP gradient cost per evaluation vs refinements k");
   table.set_header({"k", "pseudo-time steps", "tape nodes",
-                    "stored states MiB", "peak RSS MiB",
+                    "tape MiB", "peak RSS MiB",
                     "forward+reverse (s)"});
   Series mem_series;
   mem_series.name = "memory_vs_k";
   mem_series.x_label = "k";
-  mem_series.y_label = "tape + stored states MiB";
+  mem_series.y_label = "tape MiB (stored states included)";
 
   for (const std::size_t k : {1ul, 2ul, 4ul, 8ul}) {
     pde::ChannelFlowConfig config;
@@ -50,24 +50,23 @@ int main(int argc, char** argv) {
     ad::Var j = ad::dot(flow.u, flow.u);  // any scalar output
     tape.backward(j);
     const double seconds = watch.seconds();
-    const std::size_t stored = solver.stored_state_bytes(flow.steps_taken);
 
     table.add_row({std::to_string(k), std::to_string(flow.steps_taken),
                    std::to_string(tape.size()),
-                   TextTable::num(to_mib(stored), 4),
+                   TextTable::num(to_mib(tape.memory_bytes()), 4),
                    TextTable::num(to_mib(peak_rss_bytes()), 4),
                    TextTable::num(seconds, 3)});
     mem_series.x.push_back(static_cast<double>(k));
-    mem_series.y.push_back(to_mib(tape.memory_bytes() + stored));
+    mem_series.y.push_back(to_mib(tape.memory_bytes()));
   }
   table.print(std::cout);
   writer.add(std::move(mem_series));
   std::cout << "expected shape: the tape holds the control, one rollout "
                "operation's u, v, p outputs and the cost, so its node count "
-               "does not move with k; the stored step states grow by 16 n "
-               "bytes per pseudo-time step, linearly in k for fixed steps "
-               "per refinement with early exit disabled; time grows with "
-               "the step count.\n";
+               "does not move with k; its bytes, which count the stored step "
+               "states, grow by 16 n per pseudo-time step, linearly in k for "
+               "fixed steps per refinement with early exit disabled; time "
+               "grows with the step count.\n";
   writer.flush();
   return 0;
 }

@@ -1,12 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // three strategies: RBF assembly, dense factorisation/solves, sparse SpMV,
-// tape record + reverse sweep, RBF-FD stencil generation and the Dual2
-// PINN evaluation.
+// tape record + reverse sweep, RBF-FD stencil generation and the PINN
+// residual's network evaluation (one Taylor-stack tape op) and its reverse.
 
 #include <benchmark/benchmark.h>
 
-#include "autodiff/dual2.hpp"
 #include "autodiff/ops.hpp"
+#include "control/pinn_common.hpp"
 #include "la/blas.hpp"
 #include "la/lu.hpp"
 #include "nn/mlp.hpp"
@@ -137,16 +137,8 @@ void BM_PinnDual2Residual(benchmark::State& state) {
     ad::Tape tape;
     const ad::VarVec theta =
         ad::make_variables(tape, la::Vector(net.parameters()));
-    const ad::Var zero = tape.constant(0.0);
-    const ad::Var one = tape.constant(1.0);
-    const std::vector<ad::Dual2<ad::Var>> in = {
-        {tape.constant(0.3), one, zero, zero, zero, zero},
-        {tape.constant(0.6), zero, one, zero, zero, zero}};
-    const auto out = net.forward<ad::Dual2<ad::Var>, ad::Var>(
-        std::span<const ad::Var>(theta),
-        std::span<const ad::Dual2<ad::Var>>(in), [&](const ad::Var& w) {
-          return ad::Dual2<ad::Var>{w, zero, zero, zero, zero, zero};
-        });
+    const auto out = control::pinn_detail::eval_dual2(
+        net, std::span<const ad::Var>(theta), tape, 0.3, 0.6);
     ad::Var r = out[0].hxx + out[0].hyy;
     ad::Var loss = r * r;
     tape.backward(loss);

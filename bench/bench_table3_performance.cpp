@@ -3,8 +3,9 @@
 // numbers depend on scale and hardware (the paper used a 16-core Ryzen and
 // an RTX 3090 for hours); the reproduced quantity is the *shape*: relative
 // cost ordering per problem and PINN paying in wall-clock. Each method's
-// scratch memory -- the PINN tape, the DP tape plus the channel rollout's
-// stored step states -- is reported alongside the process peak.
+// scratch memory -- its tape, counting what each tape operation keeps (the
+// PINN network evaluations' activations, the channel rollout's stored step
+// states) -- is reported alongside the process peak.
 
 #include <iostream>
 

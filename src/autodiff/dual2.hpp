@@ -6,9 +6,19 @@
 /// Taylor data needed by PINN residuals (Laplacians, advection terms).
 /// Instantiated with T = ad::Var, every coefficient lives on the reverse
 /// tape, so a single backward sweep after forming the residual loss yields
-/// exact dLoss/dtheta -- forward-over-reverse, exactly what
-/// jax.grad(loss)(theta) with jax.hessian-style residuals computes for the
-/// paper's PINNs.
+/// exact dLoss/dtheta -- forward-over-reverse, what jax.grad(loss)(theta)
+/// with jax.hessian-style residuals computes for the paper's PINNs.
+///
+/// That generic pass writes every coefficient of every unit as tape nodes.
+/// PINN training instead records each network evaluation as one tape
+/// operation, nn::Mlp::forward_taylor, whose forward repeats these
+/// expressions (unary_chain below, bias-first linear sums) in plain doubles,
+/// so its planes equal the Dual2<Var> ones bit for bit, and whose
+/// hand-written VJP applies the reverse of unary_chain: with f1, f2, f3 =
+/// f', f'', f''' at a.v, the adjoint of a.v gathers f1 vbar, f2 times the
+/// gradient and Hessian planes' adjoints, and the f3 term from the
+/// Hessian planes' dependence on a.v through f2 (mlp.hpp states it in
+/// full).
 
 #include <cmath>
 

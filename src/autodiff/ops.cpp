@@ -6,6 +6,9 @@ namespace updec::ad {
 
 namespace {
 
+/// Bytes of one node index kept by an op's closure.
+constexpr std::size_t kIndexBytes = sizeof(std::int64_t);
+
 Tape& tape_of(const VarVec& v) {
   UPDEC_REQUIRE(!v.empty(), "empty VarVec has no tape");
   UPDEC_REQUIRE(v.front().valid(), "VarVec holds null Vars");
@@ -61,7 +64,8 @@ Var sum(const VarVec& v) {
   double total = 0.0;
   for (const Var& x : v) total += x.value();
   const std::int64_t start = tape.custom_op(
-      {total}, [idx = indices_of(v)](Tape& t, std::int64_t out) {
+      {total}, v.size() * kIndexBytes,
+      [idx = indices_of(v)](Tape& t, std::int64_t out) {
         const double ybar = t.adjoint(out);
         if (ybar == 0.0) return;
         for (const std::int64_t i : idx) t.adjoint_ref(i) += ybar;
@@ -76,8 +80,9 @@ Var dot(const VarVec& a, const VarVec& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     total += a[i].value() * b[i].value();
   const std::int64_t start = tape.custom_op(
-      {total}, [ia = indices_of(a), ib = indices_of(b), va = values(a),
-                vb = values(b)](Tape& t, std::int64_t out) {
+      {total}, a.size() * 2 * (kIndexBytes + sizeof(double)),
+      [ia = indices_of(a), ib = indices_of(b), va = values(a),
+       vb = values(b)](Tape& t, std::int64_t out) {
         const double ybar = t.adjoint(out);
         if (ybar == 0.0) return;
         for (std::size_t i = 0; i < ia.size(); ++i) {
@@ -94,7 +99,8 @@ Var dot(const VarVec& a, const la::Vector& w) {
   double total = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) total += a[i].value() * w[i];
   const std::int64_t start = tape.custom_op(
-      {total}, [ia = indices_of(a), w](Tape& t, std::int64_t out) {
+      {total}, a.size() * (kIndexBytes + sizeof(double)),
+      [ia = indices_of(a), w](Tape& t, std::int64_t out) {
         const double ybar = t.adjoint(out);
         if (ybar == 0.0) return;
         for (std::size_t i = 0; i < ia.size(); ++i)
@@ -109,7 +115,8 @@ VarVec spmv(const la::CsrMatrix& a, const VarVec& x) {
   const la::Vector xv = values(x);
   const la::Vector yv = a.apply(xv);
   const std::int64_t start = tape.custom_op(
-      yv.std(), [&a, ix = indices_of(x)](Tape& t, std::int64_t out) {
+      yv.std(), x.size() * kIndexBytes,
+      [&a, ix = indices_of(x)](Tape& t, std::int64_t out) {
         // x_bar += A^T y_bar
         la::Vector ybar(a.rows());
         for (std::size_t i = 0; i < a.rows(); ++i)
@@ -127,7 +134,8 @@ VarVec gemv(const la::Matrix& a, const VarVec& x) {
   const la::Vector xv = values(x);
   const la::Vector yv = la::matvec(a, xv);
   const std::int64_t start = tape.custom_op(
-      yv.std(), [&a, ix = indices_of(x)](Tape& t, std::int64_t out) {
+      yv.std(), x.size() * kIndexBytes,
+      [&a, ix = indices_of(x)](Tape& t, std::int64_t out) {
         la::Vector ybar(a.rows());
         for (std::size_t i = 0; i < a.rows(); ++i)
           ybar[i] = t.adjoint(out + static_cast<std::int64_t>(i));
@@ -144,7 +152,8 @@ VarVec solve(const la::LuFactorization& lu, const VarVec& b) {
   const la::Vector bv = values(b);
   const la::Vector xv = lu.solve(bv);
   const std::int64_t start = tape.custom_op(
-      xv.std(), [&lu, ib = indices_of(b)](Tape& t, std::int64_t out) {
+      xv.std(), b.size() * kIndexBytes,
+      [&lu, ib = indices_of(b)](Tape& t, std::int64_t out) {
         // b_bar += A^{-T} x_bar
         la::Vector xbar(lu.size());
         for (std::size_t i = 0; i < lu.size(); ++i)
@@ -162,7 +171,8 @@ VarVec solve(const la::SparseFirstSolver& op, const VarVec& b) {
   const la::Vector bv = values(b);
   const la::Vector xv = op.solve(bv);
   const std::int64_t start = tape.custom_op(
-      xv.std(), [&op, ib = indices_of(b)](Tape& t, std::int64_t out) {
+      xv.std(), b.size() * kIndexBytes,
+      [&op, ib = indices_of(b)](Tape& t, std::int64_t out) {
         // b_bar += A^{-T} x_bar
         la::Vector xbar(op.size());
         for (std::size_t i = 0; i < op.size(); ++i)
@@ -183,9 +193,14 @@ VarVec solve(const VarVec& a_flat, const VarVec& b) {
     for (std::size_t j = 0; j < n; ++j) a(i, j) = a_flat[i * n + j].value();
   auto lu = std::make_shared<la::LuFactorization>(std::move(a));
   const la::Vector xv = lu->solve(values(b));
+  // Kept: the factors (n^2 values, n pivots), both index lists and x.
+  const std::size_t kept = n * n * (sizeof(double) + kIndexBytes) +
+                           n * (sizeof(std::size_t) + kIndexBytes +
+                                sizeof(double));
   const std::int64_t start = tape.custom_op(
-      xv.std(), [lu, ia = indices_of(a_flat), ib = indices_of(b),
-                 xv](Tape& t, std::int64_t out) {
+      xv.std(), kept,
+      [lu, ia = indices_of(a_flat), ib = indices_of(b),
+       xv](Tape& t, std::int64_t out) {
         const std::size_t m = ib.size();
         la::Vector xbar(m);
         for (std::size_t i = 0; i < m; ++i)

@@ -38,11 +38,12 @@ Var Tape::node2(double value, std::int64_t pa, double wa, std::int64_t pb,
 }
 
 std::int64_t Tape::custom_op(const std::vector<double>& out_values,
-                             CustomBackward backward) {
+                             std::size_t kept_bytes, CustomBackward backward) {
   const auto start = static_cast<std::int64_t>(val_.size());
   for (const double v : out_values) (void)variable(v);
-  custom_.push_back(
-      {start, static_cast<std::int64_t>(out_values.size()), std::move(backward)});
+  custom_.push_back({start, static_cast<std::int64_t>(out_values.size()),
+                     kept_bytes, std::move(backward)});
+  kept_bytes_ += kept_bytes;
   return start;
 }
 
@@ -82,7 +83,8 @@ void Tape::backward(const Var& root) {
 
 std::size_t Tape::memory_bytes() const {
   return val_.size() * (3 * sizeof(double) + 2 * sizeof(std::int64_t)) +
-         adj_.size() * sizeof(double) + custom_.size() * sizeof(CustomOp);
+         adj_.size() * sizeof(double) + custom_.size() * sizeof(CustomOp) +
+         kept_bytes_;
 }
 
 void Tape::clear() {
@@ -93,6 +95,7 @@ void Tape::clear() {
   wa_.clear();
   wb_.clear();
   custom_.clear();
+  kept_bytes_ = 0;
 }
 
 void Tape::rewind(std::size_t mark) {
@@ -104,8 +107,10 @@ void Tape::rewind(std::size_t mark) {
   wb_.resize(mark);
   adj_.clear();
   while (!custom_.empty() &&
-         static_cast<std::size_t>(custom_.back().out_start) >= mark)
+         static_cast<std::size_t>(custom_.back().out_start) >= mark) {
+    kept_bytes_ -= custom_.back().kept_bytes;
     custom_.pop_back();
+  }
 }
 
 void Tape::reserve(std::size_t nodes) {

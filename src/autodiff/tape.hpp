@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -78,9 +79,11 @@ class Tape {
   /// are allocated (initialised with `out_values`); `backward` runs during
   /// the reverse sweep once all downstream adjoints have been accumulated,
   /// and must scatter the outputs' adjoints onto the operation's inputs via
-  /// adjoint_ref(). Returns the index of the first output node.
+  /// adjoint_ref(). `kept_bytes` is what the closure keeps for that sweep
+  /// (index lists, stored states, activations); memory_bytes() counts it.
+  /// Returns the index of the first output node.
   std::int64_t custom_op(const std::vector<double>& out_values,
-                         CustomBackward backward);
+                         std::size_t kept_bytes, CustomBackward backward);
 
   /// Seed `root` with adjoint 1 and run the reverse sweep. May be called
   /// once per forward pass; call clear()/rewind() before reusing the tape.
@@ -102,10 +105,30 @@ class Tape {
     return adj_[static_cast<std::size_t>(idx)];
   }
 
+  /// Values and adjoints of `count` consecutive nodes from `start`, for
+  /// custom ops over a block of inputs (a parameter vector recorded by
+  /// make_variables). The spans are invalidated by recording more nodes.
+  [[nodiscard]] std::span<const double> values(std::int64_t start,
+                                               std::size_t count) const {
+    UPDEC_REQUIRE(start >= 0 &&
+                      static_cast<std::size_t>(start) + count <= val_.size(),
+                  "value block past end of tape");
+    return {val_.data() + start, count};
+  }
+  [[nodiscard]] std::span<double> adjoints(std::int64_t start,
+                                           std::size_t count) {
+    UPDEC_REQUIRE(start >= 0 &&
+                      static_cast<std::size_t>(start) + count <= adj_.size(),
+                  "adjoint block past end of tape");
+    return {adj_.data() + start, count};
+  }
+
   /// Number of scalar nodes currently on the tape.
   [[nodiscard]] std::size_t size() const { return val_.size(); }
 
-  /// Approximate tape memory footprint in bytes (Table 3 "Peak mem." probe).
+  /// Approximate tape memory footprint in bytes (Table 3 "Peak mem." probe):
+  /// the nodes, the adjoints once backward() ran, and the bytes every
+  /// custom op declared it keeps.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Forget everything (keeps capacity for reuse across iterations).
@@ -124,6 +147,7 @@ class Tape {
   struct CustomOp {
     std::int64_t out_start = 0;
     std::int64_t out_count = 0;
+    std::size_t kept_bytes = 0;
     CustomBackward backward;
   };
 
@@ -132,6 +156,7 @@ class Tape {
   std::vector<std::int64_t> pa_, pb_;  // parent indices, -1 = none
   std::vector<double> wa_, wb_;        // local partials
   std::vector<CustomOp> custom_;
+  std::size_t kept_bytes_ = 0;  // sum of custom_[*].kept_bytes
 };
 
 inline double Var::value() const {

@@ -166,6 +166,10 @@ const std::vector<PinnedCase>& pinned_cases() {
        "Table 3's channel DP row: 350 nodes, Re 100, k = 3 at a cap of 150 "
        "steps with steady_tol 1e-9 (two capped refinements, one early "
        "exit, 418 steps)"},
+      {"pinn_op_vs_scalar", 0x5eed0295ull, 40,
+       "stress pin: the channel PINN's shape at the range ceiling, a "
+       "2x38x25x17x27x3 network (four hidden layers, three outputs) under "
+       "each activation, 216 planes compared"},
   };
   return cases;
 }

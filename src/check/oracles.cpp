@@ -14,11 +14,13 @@
 #include "check/generators.hpp"
 #include "control/driver.hpp"
 #include "control/laplace_problem.hpp"
+#include "control/pinn_common.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 #include "la/robust_solve.hpp"
+#include "nn/mlp.hpp"
 #include "pde/channel_flow.hpp"
 #include "pointcloud/generators.hpp"
 #include "rbf/collocation.hpp"
@@ -734,6 +736,180 @@ OracleResult dp_rollout_vs_unrolled(const OracleCase& c) {
   return judged(err, 1e-10, os.str());
 }
 
+// ---- PINN network op vs the generic scalar tape ---------------------------
+
+namespace {
+
+std::vector<ad::Var> planes_of(std::vector<ad::Var> v) { return v; }
+
+std::vector<ad::Var> planes_of(const std::vector<ad::Dual<ad::Var>>& v) {
+  std::vector<ad::Var> out;
+  for (const auto& d : v) out.insert(out.end(), {d.v, d.d});
+  return out;
+}
+
+std::vector<ad::Var> planes_of(const std::vector<ad::Dual2<ad::Var>>& v) {
+  std::vector<ad::Var> out;
+  for (const auto& d : v)
+    out.insert(out.end(), {d.v, d.gx, d.gy, d.hxx, d.hxy, d.hyy});
+  return out;
+}
+
+/// Evaluates one network both ways on fresh tapes: `op(net, theta, tape)`
+/// (a pinn_detail evaluator) and `ref(net, theta, tape)` (the generic
+/// Mlp::forward, inputs seeded with tape constants and every weight lifted
+/// with zero derivative planes). Returns false with `why` set when a plane
+/// differs; otherwise adds the planes compared to `planes_compared` and
+/// keeps in `grad_err` the largest relative difference (in norm) of the
+/// theta-gradients of the same random weighted sum over every plane.
+template <typename Op, typename Ref>
+bool compare_pinn_eval(const nn::Mlp& net, Rng& rng, const char* evaluator,
+                       Op&& op, Ref&& ref, std::size_t& planes_compared,
+                       double& grad_err, std::string& why) {
+  const la::Vector params(net.parameters());
+  std::vector<double> weights;
+  const auto run = [&](auto&& evaluate, std::vector<double>& values) {
+    ad::Tape tape;
+    const ad::VarVec theta = ad::make_variables(tape, params);
+    const std::vector<ad::Var> planes =
+        planes_of(evaluate(net, std::span<const ad::Var>(theta), tape));
+    while (weights.size() < planes.size())
+      weights.push_back(rng.uniform(-1.0, 1.0));
+    ad::Var sum = tape.constant(0.0);
+    for (std::size_t i = 0; i < planes.size(); ++i) {
+      values.push_back(planes[i].value());
+      sum = sum + planes[i] * weights[i];
+    }
+    tape.backward(sum);
+    return ad::adjoints(theta);
+  };
+  std::vector<double> op_values, ref_values;
+  const la::Vector g_op = run(op, op_values);
+  const la::Vector g_ref = run(ref, ref_values);
+  UPDEC_REQUIRE(op_values.size() == ref_values.size(),
+                "evaluators returned different plane counts");
+  for (std::size_t i = 0; i < op_values.size(); ++i) {
+    if (op_values[i] == ref_values[i]) continue;
+    std::ostringstream os;
+    os << evaluator << " plane " << i << " of " << op_values.size()
+       << ": " << op_values[i] << " vs " << ref_values[i]
+       << " (must compare equal)";
+    why = os.str();
+    return false;
+  }
+  planes_compared += op_values.size();
+  la::Vector diff = g_op;
+  la::axpy(-1.0, g_ref, diff);
+  grad_err = std::max(grad_err, la::nrm2(diff) / (la::nrm2(g_ref) + 1e-300));
+  return true;
+}
+
+}  // namespace
+
+OracleResult pinn_op_vs_scalar(const OracleCase& c) {
+  namespace pd = control::pinn_detail;
+  using ad::Dual;
+  using ad::Dual2;
+  using ad::Var;
+  Rng rng(c.seed);
+  const std::size_t max_width = std::clamp<std::size_t>(c.size, 1, 40);
+  std::vector<std::size_t> layers{1 + rng.uniform_index(2)};
+  const std::size_t depth = 1 + rng.uniform_index(4);
+  for (std::size_t l = 0; l < depth; ++l)
+    layers.push_back(1 + rng.uniform_index(max_width));
+  layers.push_back(1 + rng.uniform_index(3));
+  const bool two_d = layers.front() == 2;
+
+  std::size_t planes = 0;
+  double grad_err = 0.0;
+  std::string why;
+  for (const nn::Activation activation :
+       {nn::Activation::kTanh, nn::Activation::kSin, nn::Activation::kRelu,
+        nn::Activation::kIdentity}) {
+    nn::Mlp net(layers, activation, rng.next_u64());
+    // Glorot weights plus nonzero biases.
+    std::vector<double> params = net.parameters();
+    for (double& p : params) p += rng.uniform(-0.2, 0.2);
+    net.set_parameters(params);
+    for (int point = 0; point < 2; ++point) {
+      const double x = rng.uniform(-1.5, 1.5);
+      const double y = rng.uniform(-1.5, 1.5);
+      bool ok = true;
+      if (!two_d) {
+        ok = compare_pinn_eval(
+            net, rng, "eval_value1d",
+            [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+              return pd::eval_value1d(n, th, t, x);
+            },
+            [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+              const std::vector<Var> in = {t.constant(x)};
+              return n.forward<Var, Var>(th, std::span<const Var>(in),
+                                         [](const Var& w) { return w; });
+            },
+            planes, grad_err, why);
+      } else {
+        const double dx = rng.uniform(-1.0, 1.0);
+        const double dy = rng.uniform(-1.0, 1.0);
+        ok = compare_pinn_eval(
+                 net, rng, "eval_value",
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   return pd::eval_value(n, th, t, x, y);
+                 },
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   const std::vector<Var> in = {t.constant(x), t.constant(y)};
+                   return n.forward<Var, Var>(th, std::span<const Var>(in),
+                                              [](const Var& w) { return w; });
+                 },
+                 planes, grad_err, why) &&
+             compare_pinn_eval(
+                 net, rng, "eval_dual1",
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   return pd::eval_dual1(n, th, t, x, y, dx, dy);
+                 },
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   const std::vector<Dual<Var>> in = {
+                       {t.constant(x), t.constant(dx)},
+                       {t.constant(y), t.constant(dy)}};
+                   return n.forward<Dual<Var>, Var>(
+                       th, std::span<const Dual<Var>>(in), [&](const Var& w) {
+                         return Dual<Var>{w, t.constant(0.0)};
+                       });
+                 },
+                 planes, grad_err, why) &&
+             compare_pinn_eval(
+                 net, rng, "eval_dual2",
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   return pd::eval_dual2(n, th, t, x, y);
+                 },
+                 [&](const nn::Mlp& n, std::span<const Var> th, ad::Tape& t) {
+                   const Var zero = t.constant(0.0);
+                   const Var one = t.constant(1.0);
+                   const std::vector<Dual2<Var>> in = {
+                       {t.constant(x), one, zero, zero, zero, zero},
+                       {t.constant(y), zero, one, zero, zero, zero}};
+                   return n.forward<Dual2<Var>, Var>(
+                       th, std::span<const Dual2<Var>>(in), [&](const Var& w) {
+                         return Dual2<Var>{w, zero, zero, zero, zero, zero};
+                       });
+                 },
+                 planes, grad_err, why);
+      }
+      if (!ok) {
+        std::ostringstream os;
+        os << net.summary() << " at (" << x << ", " << y << "): " << why;
+        return judged(1.0, 0.0, os.str());
+      }
+    }
+  }
+  std::ostringstream os;
+  os << "PINN taped op vs generic scalar tape (";
+  for (std::size_t l = 0; l < layers.size(); ++l)
+    os << (l ? "x" : "") << layers[l];
+  os << ", four activations, two points each: " << planes
+     << " output planes equal, theta-gradient rel diff " << grad_err << ")";
+  return judged(grad_err, 1e-12, os.str());
+}
+
 // ---- catalogue ------------------------------------------------------------
 
 const std::vector<Oracle>& all_oracles() {
@@ -770,6 +946,9 @@ const std::vector<Oracle>& all_oracles() {
       {"dp_rollout_vs_unrolled",
        "channel DP rollout op vs the same rollout on the scalar tape", 200,
        350, &dp_rollout_vs_unrolled},
+      {"pinn_op_vs_scalar",
+       "PINN network tape op vs the generic forward on the scalar tape", 1, 40,
+       &pinn_op_vs_scalar},
   };
   return oracles;
 }

@@ -8,8 +8,8 @@
 /// adjoint gradient against the DP gradient (the paper's central
 /// consistency claim), the sparse band LU against dense LU, batched multi-RHS sweeps against looped
 /// single solves, warm operator-cache hits against cold computes, OpenMP
-/// runs against single-threaded runs, and the channel DP rollout op
-/// against the same rollout on the scalar tape.
+/// runs against single-threaded runs, and the channel DP rollout op and the
+/// PINN network op against the same computations on the scalar tape.
 ///
 /// The same oracle functions back two front ends: tests/test_properties.cpp
 /// runs a bounded number of trials per family inside gtest (tier-1), and
@@ -115,6 +115,15 @@ OracleResult factorization_consistency(const OracleCase& c);
 /// the step count bitwise equal, the gradient within 1e-10 relative in
 /// norm. size = target node count.
 OracleResult dp_rollout_vs_unrolled(const OracleCase& c);
+
+/// Each control::pinn_detail evaluator (one nn::Mlp::forward_taylor tape
+/// operation) against the generic Mlp::forward over Var, Dual<Var> or
+/// Dual2<Var> on the scalar tape, on a random MLP (1-4 hidden layers of
+/// width 1..size, 1-2 inputs, 1-3 outputs) under each of the four
+/// activations at random points: every output plane must compare equal
+/// (==), and the theta-gradient of a random weighted sum over all planes
+/// must agree within 1e-12 relative in norm. size = widest hidden layer.
+OracleResult pinn_op_vs_scalar(const OracleCase& c);
 
 /// The sharded multi-process serving tier against a plain in-process run.
 /// A random scenario batch (mixed grid families, seeds and iteration

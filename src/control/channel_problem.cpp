@@ -87,17 +87,12 @@ class ChannelDpStrategy final : public GradientStrategy {
     }
     tape_.backward(j);
     gradient = ad::adjoints(c);
-    // The rollout's stored step states live in its tape operation, out of
-    // Tape::memory_bytes()'s sight.
-    peak_scratch_bytes_ =
-        std::max(peak_scratch_bytes_,
-                 tape_.memory_bytes() +
-                     solver.stored_state_bytes(flow.steps_taken));
+    peak_scratch_bytes_ = std::max(peak_scratch_bytes_, tape_.memory_bytes());
     return j_raw;
   }
 
-  /// Tape plus stored step states of the largest rollout (Table 3 memory
-  /// narrative).
+  /// Tape of the largest rollout, its operation's stored step states
+  /// included (Table 3 memory narrative).
   [[nodiscard]] std::size_t scratch_bytes() const override {
     return peak_scratch_bytes_;
   }

@@ -1,8 +1,16 @@
 #pragma once
 /// \file pinn_common.hpp
 /// Shared machinery of the PINN strategy (section 2.3): configuration,
-/// training records, and the tape-side network evaluation helpers that give
-/// exact input derivatives (forward Dual/Dual2 over reverse-mode weights).
+/// training records, and the tape-side network evaluations that give exact
+/// input derivatives of u_theta with dLoss/dtheta on the reverse tape.
+///
+/// Each evaluation is one tape operation, nn::Mlp::forward_taylor: its
+/// forward runs in plain doubles over a Taylor stack (value; value and a
+/// directional derivative; value, gradient and upper Hessian) and its
+/// reverse sweep is a hand-written VJP through the layers, the activation's
+/// second-order chain rule included (mlp.hpp). The handles returned here
+/// point at the operation's outputs, and every value equals what the
+/// generic Mlp::forward over Var, Dual<Var> or Dual2<Var> computes.
 
 #include <vector>
 
@@ -39,21 +47,42 @@ struct PinnHistory {
 
 namespace pinn_detail {
 
+/// Handle on plane `plane` of output `k` of a forward_taylor operation
+/// starting at node `start` with `planes` planes per output.
+inline ad::Var taylor_output(ad::Tape& tape, std::int64_t start,
+                             std::size_t planes, std::size_t k,
+                             std::size_t plane) {
+  return {&tape, start + static_cast<std::int64_t>(k * planes + plane)};
+}
+
+/// Value handles of every output of a one-plane forward_taylor operation.
+inline std::vector<ad::Var> taylor_values(const nn::Mlp& net, ad::Tape& tape,
+                                          std::int64_t start) {
+  std::vector<ad::Var> out;
+  out.reserve(net.num_outputs());
+  for (std::size_t k = 0; k < net.num_outputs(); ++k)
+    out.push_back(taylor_output(tape, start, 1, k, 0));
+  return out;
+}
+
 /// Evaluate an MLP at (x, y) with tape weights and full second-order input
 /// derivatives: returns one Dual2<Var> per network output.
 inline std::vector<ad::Dual2<ad::Var>> eval_dual2(
     const nn::Mlp& net, std::span<const ad::Var> theta, ad::Tape& tape,
     double x, double y) {
-  const ad::Var zero = tape.constant(0.0);
-  const ad::Var one = tape.constant(1.0);
-  const std::vector<ad::Dual2<ad::Var>> inputs = {
-      {tape.constant(x), one, zero, zero, zero, zero},
-      {tape.constant(y), zero, one, zero, zero, zero}};
-  return net.forward<ad::Dual2<ad::Var>, ad::Var>(
-      theta, std::span<const ad::Dual2<ad::Var>>(inputs),
-      [&](const ad::Var& w) {
-        return ad::Dual2<ad::Var>{w, zero, zero, zero, zero, zero};
-      });
+  const double stack[] = {x, 1.0, 0.0, 0.0, 0.0, 0.0,
+                          y, 0.0, 1.0, 0.0, 0.0, 0.0};
+  const std::int64_t start = net.forward_taylor(tape, theta, stack, 6);
+  std::vector<ad::Dual2<ad::Var>> out;
+  out.reserve(net.num_outputs());
+  for (std::size_t k = 0; k < net.num_outputs(); ++k) {
+    const auto plane = [&](std::size_t p) {
+      return taylor_output(tape, start, 6, k, p);
+    };
+    out.emplace_back(plane(0), plane(1), plane(2), plane(3), plane(4),
+                     plane(5));
+  }
+  return out;
 }
 
 /// First-order directional evaluation: derivative channel seeded along
@@ -61,34 +90,30 @@ inline std::vector<ad::Dual2<ad::Var>> eval_dual2(
 inline std::vector<ad::Dual<ad::Var>> eval_dual1(
     const nn::Mlp& net, std::span<const ad::Var> theta, ad::Tape& tape,
     double x, double y, double dx, double dy) {
-  const std::vector<ad::Dual<ad::Var>> inputs = {
-      {tape.constant(x), tape.constant(dx)},
-      {tape.constant(y), tape.constant(dy)}};
-  return net.forward<ad::Dual<ad::Var>, ad::Var>(
-      theta, std::span<const ad::Dual<ad::Var>>(inputs),
-      [&](const ad::Var& w) {
-        return ad::Dual<ad::Var>{w, tape.constant(0.0)};
-      });
+  const double stack[] = {x, dx, y, dy};
+  const std::int64_t start = net.forward_taylor(tape, theta, stack, 2);
+  std::vector<ad::Dual<ad::Var>> out;
+  out.reserve(net.num_outputs());
+  for (std::size_t k = 0; k < net.num_outputs(); ++k)
+    out.emplace_back(taylor_output(tape, start, 2, k, 0),
+                     taylor_output(tape, start, 2, k, 1));
+  return out;
 }
 
 /// Plain value evaluation on the tape (Dirichlet penalties).
 inline std::vector<ad::Var> eval_value(const nn::Mlp& net,
                                        std::span<const ad::Var> theta,
                                        ad::Tape& tape, double x, double y) {
-  const std::vector<ad::Var> inputs = {tape.constant(x), tape.constant(y)};
-  return net.forward<ad::Var, ad::Var>(
-      theta, std::span<const ad::Var>(inputs),
-      [](const ad::Var& w) { return w; });
+  const double stack[] = {x, y};
+  return taylor_values(net, tape, net.forward_taylor(tape, theta, stack, 1));
 }
 
 /// 1-D network evaluation (control networks c_theta).
 inline std::vector<ad::Var> eval_value1d(const nn::Mlp& net,
                                          std::span<const ad::Var> theta,
                                          ad::Tape& tape, double t) {
-  const std::vector<ad::Var> inputs = {tape.constant(t)};
-  return net.forward<ad::Var, ad::Var>(
-      theta, std::span<const ad::Var>(inputs),
-      [](const ad::Var& w) { return w; });
+  const double stack[] = {t};
+  return taylor_values(net, tape, net.forward_taylor(tape, theta, stack, 1));
 }
 
 }  // namespace pinn_detail

@@ -4,18 +4,41 @@
 /// networks: 3x30 tanh for the Laplace problem (Table 1), 5x50 tanh for
 /// Navier-Stokes (Table 2), plus small 1-D control networks c_theta.
 ///
-/// The forward pass is templated on the activation scalar T and the
-/// parameter scalar S, connected by a `lift` functor. This is what enables
-/// forward-over-reverse PINN residuals: evaluating with T = Dual2<Var>,
-/// S = Var carries exact input derivatives (u_x, u_xx, ...) while every
-/// coefficient stays on the reverse tape for dLoss/dtheta.
+/// The generic forward pass is templated on the activation scalar T and the
+/// parameter scalar S, connected by a `lift` functor: plain doubles,
+/// Dual/Dual2 for input derivatives, and (T = Dual2<Var>, S = Var) for
+/// forward-over-reverse, where every scalar of the pass is a tape node.
+///
+/// PINN training instead records each network evaluation as one tape
+/// operation, forward_taylor(). Its forward runs in plain doubles over a
+/// Taylor stack of P planes per unit (1: value; 2: value and one directional
+/// derivative; 6: value, gradient and upper Hessian in two seeded
+/// directions) and keeps every hidden layer's pre-activations z and
+/// activations a. Each plane of z accumulates the bias first (0 on the
+/// derivative planes), then W_ji a_i for i = 0..fan_in-1, and the activation
+/// uses the expressions of var_math.hpp, dual.hpp and dual2.hpp, so every
+/// output equals what the generic pass over Var, Dual<Var> or Dual2<Var>
+/// computes, bit for bit. The reverse sweep is a hand-written VJP that
+/// writes straight into the parameters' adjoints. Per linear layer:
+///   W_bar += sum_p zbar_p a_p^T,  b_bar += zbar_v,  abar_p = W^T zbar_p.
+/// Through the activation a_v = sigma(z_v), a_k = s1 z_k (gradient planes),
+/// a_kl = s1 z_kl + s2 z_k z_l (Hessian planes), with s1, s2, s3 = sigma',
+/// sigma'', sigma''' at z_v:
+///   zbar_kl = s1 abar_kl
+///   zbar_k  = s1 abar_k + s2 sum_lm abar_lm d(z_l z_m)/dz_k
+///   zbar_v  = s1 abar_v + s2 (sum_k z_k abar_k + sum_kl z_kl abar_kl)
+///             + s3 sum_kl z_k z_l abar_kl.
+/// The s3 (third-derivative) term is the Hessian planes' dependence on z_v
+/// through sigma''.
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "autodiff/tape.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -82,6 +105,19 @@ class Mlp {
     }
     return current;
   }
+
+  /// Taped forward over a Taylor stack of `planes` planes (1, 2 or 6; see
+  /// the file comment), recorded as one operation on `tape`.
+  /// \param params the flat parameters as consecutive nodes of `tape`, as
+  ///               ad::make_variables records them.
+  /// \param inputs num_inputs() x planes doubles, input-major: plane p of
+  ///               input i at i * planes + p.
+  /// \return index of the first output node; plane p of output k is node
+  ///         start + k * planes + p. The operation keeps the hidden layers'
+  ///         z and a and the inputs (O(activations), declared to the tape).
+  std::int64_t forward_taylor(ad::Tape& tape, std::span<const ad::Var> params,
+                              std::span<const double> inputs,
+                              std::size_t planes) const;
 
   /// Convenience: plain double forward.
   [[nodiscard]] std::vector<double> forward(

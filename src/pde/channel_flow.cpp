@@ -314,10 +314,13 @@ FlowAd ChannelFlowSolver::solve(ad::Tape& tape,
   std::vector<std::int64_t> inflow_idx(inflow.size());
   for (std::size_t q = 0; q < inflow.size(); ++q)
     inflow_idx[q] = inflow[q].index();
+  const std::size_t kept = 2 * trace.u.size() * n * sizeof(double) +
+                           trace.steps.size() * sizeof(std::size_t) +
+                           inflow_idx.size() * sizeof(std::int64_t);
   const std::int64_t start = tape.custom_op(
-      outputs, [this, n, trace = std::move(trace),
-                inflow_idx = std::move(inflow_idx)](ad::Tape& t,
-                                                    std::int64_t out) {
+      outputs, kept,
+      [this, n, trace = std::move(trace),
+       inflow_idx = std::move(inflow_idx)](ad::Tape& t, std::int64_t out) {
         la::Vector ubar(n), vbar(n), pbar(n);
         for (std::size_t i = 0; i < n; ++i) {
           const auto at = out + static_cast<std::int64_t>(i);

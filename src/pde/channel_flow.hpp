@@ -78,7 +78,9 @@ class ChannelFlowSolver {
   /// projection rollout is one custom tape operation whose outputs are the
   /// final u, v and p. Values are bitwise those of solve(inflow); the
   /// reverse sweep is the exact gradient of the rollout as computed,
-  /// early exits and step caps included. The solver must outlive the tape.
+  /// early exits and step caps included. The operation keeps each step's
+  /// input (u, v), 16 n bytes per step, declared to the tape so that
+  /// Tape::memory_bytes() counts it. The solver must outlive the tape.
   [[nodiscard]] FlowAd solve(ad::Tape& tape, const ad::VarVec& inflow) const;
 
   /// The same rollout recorded scalar by scalar on the tape (about 25 n
@@ -86,12 +88,6 @@ class ChannelFlowSolver {
   /// dp_rollout_vs_unrolled oracle checks solve(tape, inflow) against.
   [[nodiscard]] FlowAd solve_unrolled_reference(
       ad::Tape& tape, const ad::VarVec& inflow) const;
-
-  /// Bytes solve(tape, inflow) keeps for its reverse sweep after `steps`
-  /// projection steps: each step's input (u, v), 16 n bytes per step.
-  [[nodiscard]] std::size_t stored_state_bytes(std::size_t steps) const {
-    return steps * 2 * cloud_->size() * sizeof(double);
-  }
 
   // ---- problem geometry / data ----
 

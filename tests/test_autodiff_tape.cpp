@@ -181,6 +181,32 @@ TEST(Tape, MemoryBytesGrowsWithNodes) {
   EXPECT_GT(tape.memory_bytes(), before + 1000 * 3 * sizeof(double));
 }
 
+TEST(Tape, MemoryBytesCountsWhatCustomOpsDeclare) {
+  Tape tape;
+  const Var x = tape.variable(2.0);
+  const auto triple = [&tape, x](std::size_t kept_bytes) {
+    const std::int64_t out = tape.custom_op(
+        {3.0 * x.value()}, kept_bytes, [x](Tape& t, std::int64_t o) {
+          t.adjoint_ref(x.index()) += 3.0 * t.adjoint(o);
+        });
+    return Var(&tape, out);
+  };
+  const std::size_t m0 = tape.memory_bytes();
+  const Var y = triple(0);
+  const std::size_t m1 = tape.memory_bytes();
+  const std::size_t mark = tape.mark();
+  (void)triple(12345);
+  const std::size_t m2 = tape.memory_bytes();
+  // The same op again, plus exactly the bytes it declared.
+  EXPECT_EQ(m2 - m1, (m1 - m0) + 12345u);
+  tape.rewind(mark);
+  EXPECT_EQ(tape.memory_bytes(), m1);
+  tape.backward(y);
+  EXPECT_DOUBLE_EQ(x.adjoint(), 3.0);
+  tape.clear();
+  EXPECT_EQ(tape.memory_bytes(), 0u);
+}
+
 TEST(Tape, MixedTapesThrow) {
   Tape t1, t2;
   Var a = t1.variable(1.0);

@@ -8,6 +8,7 @@
 
 #include "control/omega_search.hpp"
 #include "control/laplace_problem.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 
@@ -90,6 +91,29 @@ TEST(LaplacePinnTest, ResetSolutionNetworkReinitialises) {
   pinn.reset_solution_network(99);
   EXPECT_NE(pinn.u_net().parameters(), params0);  // new seed, new weights
   EXPECT_TRUE(pinn.history().total_loss.empty());
+}
+
+TEST(LaplacePinnTest, OneEpochWritesFewerThanTenThousandTapeNodes) {
+#ifdef UPDEC_DISABLE_METRICS
+  GTEST_SKIP() << "metrics compiled out";
+#else
+  // The paper's Laplace networks (u 3x30, c 1x20) at the default batches:
+  // each network evaluation is one tape operation, so the tape holds the
+  // parameters, the operations' outputs and the loss arithmetic, about 3.6k
+  // nodes, where evaluating over Dual2<Var> node by node wrote 5.99M.
+  namespace metrics = updec::metrics;
+  PinnConfig config;
+  config.epochs = 1;
+  LaplacePinn pinn(config);
+  metrics::reset();
+  metrics::set_enabled(true);
+  pinn.train();
+  const double nodes = metrics::gauge_value("autodiff/tape.peak_nodes");
+  metrics::set_enabled(false);
+  metrics::reset();
+  EXPECT_GT(nodes, 0.0);
+  EXPECT_LT(nodes, 10000.0);
+#endif
 }
 
 TEST(OmegaSearch, TwoStepSearchPicksAnOmega) {

@@ -51,6 +51,10 @@ FamilyBudget budget_for(const std::string& name) {
   // (up to ~4M nodes at 350 nodes with early exits); three trials over the
   // whole node range cost a few seconds.
   if (name == "dp_rollout_vs_unrolled") return {350, 3};
+  // pinn_op_vs_scalar tapes the reference network node by node (over 100k
+  // nodes for a Dual2<Var> pass through four hidden layers of 40); four
+  // networks over the whole width range take well under a second.
+  if (name == "pinn_op_vs_scalar") return {40, 4};
   return {32, 3};
 }
 
