@@ -90,9 +90,10 @@ OracleResult solver_equivalence(const OracleCase& c);
 /// against looped single solves on the same systems. size = matrix dimension.
 OracleResult batched_vs_looped(const OracleCase& c);
 
-/// Warm OperatorCache hits (memoized collocation LU, memoized RBF-FD
-/// weights) against cold computes: identical results, correct hit/miss
-/// accounting. size = nodes per cloud side.
+/// Memoized collocation LUs and warm OperatorCache hits on RBF-FD weights
+/// against cold computes: identical results, and exact hit/miss/entry
+/// accounting (the LU books no entry of its own). size = nodes per cloud
+/// side.
 OracleResult cached_vs_cold(const OracleCase& c);
 
 /// OpenMP parallel kernels (gemm, SpMV, batched LU sweeps, collocation

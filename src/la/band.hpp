@@ -53,6 +53,12 @@ class BandLu {
   [[nodiscard]] std::size_t lower_bandwidth() const { return kl_; }
   [[nodiscard]] std::size_t upper_bandwidth() const { return ku_; }
 
+  /// Resident size: the band array plus the pivot and ordering vectors.
+  [[nodiscard]] std::size_t bytes() const {
+    return ab_.size() * sizeof(double) +
+           (pivot_.size() + order_.size()) * sizeof(std::size_t);
+  }
+
  private:
   /// Band entry (i, j) of the factored, permuted matrix.
   [[nodiscard]] double& at(std::size_t i, std::size_t j) {

@@ -82,6 +82,11 @@ class SparseFirstSolver {
   [[nodiscard]] std::size_t size() const { return a_.rows(); }
   [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
   [[nodiscard]] const FactorReport& factor_report() const { return factor_; }
+  /// Resident size: the CSR matrix (kept for residual checks) plus the band
+  /// factor, which is usually several times larger.
+  [[nodiscard]] std::size_t bytes() const {
+    return a_.bytes() + (lu_ ? lu_->bytes() : 0);
+  }
 
   /// Solve A x = b.
   Vector solve(const Vector& b, SolveReport* report = nullptr) const;

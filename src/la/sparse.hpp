@@ -109,6 +109,12 @@ class CsrMatrix {
   }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
+  /// Resident size of the three arrays.
+  [[nodiscard]] std::size_t bytes() const {
+    return values_.size() * sizeof(double) +
+           (row_ptr_.size() + col_idx_.size()) * sizeof(std::size_t);
+  }
+
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<std::size_t> row_ptr_;

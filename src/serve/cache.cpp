@@ -1,5 +1,7 @@
 #include "serve/cache.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -158,8 +160,9 @@ void OperatorCache::clear() {
   std::lock_guard lock(mutex_);
   // In-flight computes are untouched: their futures complete normally, the
   // results just land in an empty table.
-  lru_.clear();
   index_.clear();
+  queue_.clear();
+  clock_ = 0.0;
   bytes_ = 0;
   stats_.bytes = 0;
   stats_.entries = 0;
@@ -184,30 +187,36 @@ OperatorCache::Stats OperatorCache::stats() const {
   return s;
 }
 
-void OperatorCache::erase_locked(std::list<Entry>::iterator it) {
-  bytes_ -= it->bytes;
-  ClassStats& cs = stats_.by_class[it->klass];
-  cs.bytes -= it->bytes;
+void OperatorCache::erase_locked(Index::iterator it) {
+  const Entry& e = it->second;
+  bytes_ -= e.bytes;
+  ClassStats& cs = stats_.by_class[e.klass];
+  cs.bytes -= e.bytes;
   --cs.entries;
-  index_.erase(it->key);
-  lru_.erase(it);
+  queue_.erase(e.rank);
+  index_.erase(it);
 }
 
 void OperatorCache::store_locked(const CacheKey& key, const Computed& computed,
-                                 const char* klass) {
+                                 double seconds, const char* klass) {
   if (byte_budget_ == 0 || computed.bytes > byte_budget_) return;
   if (index_.count(key) != 0) return;  // raced with an identical insert
-  lru_.push_front(Entry{key, computed.value, computed.bytes, klass});
-  index_.emplace(key, lru_.begin());
+  const double cost_per_byte =
+      seconds / static_cast<double>(std::max<std::size_t>(computed.bytes, 1));
+  const Rank rank = rank_locked(cost_per_byte);
+  index_.emplace(key, Entry{computed.value, computed.bytes, cost_per_byte,
+                            rank, klass});
+  queue_.emplace(rank, key);
   bytes_ += computed.bytes;
   {
-    ClassStats& cs = stats_.by_class[lru_.front().klass];
+    ClassStats& cs = stats_.by_class[klass];
     cs.bytes += computed.bytes;
     ++cs.entries;
   }
-  while (bytes_ > byte_budget_ && !lru_.empty()) {
-    const auto victim = std::prev(lru_.end());
-    ++stats_.by_class[victim->klass].evictions;
+  while (bytes_ > byte_budget_) {
+    const auto victim = index_.find(queue_.begin()->second);
+    clock_ = victim->second.rank.first;
+    ++stats_.by_class[victim->second.klass].evictions;
     erase_locked(victim);
     ++stats_.evictions;
     UPDEC_METRIC_ADD("serve/cache.evictions", 1);
@@ -223,12 +232,15 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
   {
     std::unique_lock lock(mutex_);
     if (const auto it = index_.find(key); it != index_.end()) {
-      // Hit: refresh LRU position, hand out the shared value.
-      lru_.splice(lru_.begin(), lru_, it->second);
+      // Hit: reset H from the current clock, hand out the shared value.
+      Entry& e = it->second;
+      queue_.erase(e.rank);
+      e.rank = rank_locked(e.cost_per_byte);
+      queue_.emplace(e.rank, key);
       ++stats_.hits;
       ++stats_.by_class[klass].hits;
       UPDEC_METRIC_ADD("serve/cache.hits", 1);
-      return it->second->value;
+      return e.value;
     }
     if (const auto it = inflight_.find(key); it != inflight_.end()) {
       // Someone else is computing this key: join their flight.
@@ -245,8 +257,9 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
 
   if (wait_on.valid()) return wait_on.get().value;  // rethrows leader errors
 
-  // We are the leader: compute outside the lock.
+  // We are the leader: compute outside the lock, timed for the priority.
   Computed computed;
+  const auto start = std::chrono::steady_clock::now();
   try {
     computed = compute();
   } catch (...) {
@@ -257,12 +270,15 @@ std::shared_ptr<const void> OperatorCache::get_or_compute_erased(
     mine.set_exception(std::current_exception());
     throw;
   }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   UPDEC_REQUIRE(computed.value != nullptr,
                 "OperatorCache compute returned a null value");
   {
     std::lock_guard lock(mutex_);
     inflight_.erase(key);
-    store_locked(key, computed, klass);
+    store_locked(key, computed, seconds, klass);
   }
   mine.set_value(computed);
   return computed.value;
@@ -451,30 +467,32 @@ rom::PodBasis decode_pod_basis(std::string_view payload) {
 
 // ---- memoization helpers -------------------------------------------------
 
-std::shared_ptr<const la::LuFactorization> cached_lu(
-    OperatorCache& cache, const rbf::GlobalCollocation& colloc) {
-  KeyBuilder kb("lu-factorization");
-  kb.add(colloc.content_hash());
-  kb.add(static_cast<std::uint64_t>(colloc.system_size()));
-  return cache.get_or_compute_disk<la::LuFactorization>(
-      kb.key(),
-      [&colloc] {
-        UPDEC_TRACE_SCOPE("serve/cache_factor");
-        std::shared_ptr<const la::LuFactorization> lu = colloc.shared_lu();
-        return OperatorCache::Sized<la::LuFactorization>{lu, lu_bytes(*lu)};
-      },
-      encode_lu,
-      [](std::string_view payload) {
-        UPDEC_TRACE_SCOPE("serve/cache_disk_load");
-        auto lu = std::make_shared<const la::LuFactorization>(
-            decode_lu(payload));
-        return OperatorCache::Sized<la::LuFactorization>{lu, lu_bytes(*lu)};
-      },
-      "lu");
-}
-
 void memoize_lu(OperatorCache& cache, rbf::GlobalCollocation& colloc) {
-  colloc.install_lu(cached_lu(cache, colloc));
+  DiskCache* disk = cache.disk();
+  const bool persist = disk != nullptr && disk->enabled();
+  CacheKey key;
+  if (persist) {
+    KeyBuilder kb("lu-factorization");
+    kb.add(colloc.content_hash());
+    kb.add(static_cast<std::uint64_t>(colloc.system_size()));
+    key = kb.key();
+    std::string payload;
+    if (disk->load(key, payload)) {
+      try {
+        UPDEC_TRACE_SCOPE("serve/cache_disk_load");
+        colloc.install_lu(
+            std::make_shared<const la::LuFactorization>(decode_lu(payload)));
+        return;
+      } catch (const std::exception& e) {
+        disk->reject(key, e.what());
+      }
+    }
+  }
+  {
+    UPDEC_TRACE_SCOPE("serve/cache_factor");
+    (void)colloc.lu();
+  }
+  if (persist) disk->store(key, encode_lu(colloc.lu()));
 }
 
 std::shared_ptr<const la::CsrMatrix> cached_rbffd_weights(
@@ -491,21 +509,15 @@ std::shared_ptr<const la::CsrMatrix> cached_rbffd_weights(
       [&ops, &op] {
         UPDEC_TRACE_SCOPE("serve/cache_rbffd");
         auto w = std::make_shared<const la::CsrMatrix>(ops.weights_for(op));
-        return OperatorCache::Sized<la::CsrMatrix>{w, csr_bytes(*w)};
+        return OperatorCache::Sized<la::CsrMatrix>{w, w->bytes()};
       },
       encode_csr,
       [](std::string_view payload) {
         UPDEC_TRACE_SCOPE("serve/cache_disk_load");
         auto w = std::make_shared<const la::CsrMatrix>(decode_csr(payload));
-        return OperatorCache::Sized<la::CsrMatrix>{w, csr_bytes(*w)};
+        return OperatorCache::Sized<la::CsrMatrix>{w, w->bytes()};
       },
       "rbffd");
-}
-
-std::size_t csr_bytes(const la::CsrMatrix& m) {
-  return m.values().size() * sizeof(double) +
-         m.col_idx().size() * sizeof(std::size_t) +
-         m.row_ptr().size() * sizeof(std::size_t);
 }
 
 }  // namespace updec::serve

@@ -20,11 +20,23 @@
 ///                                rbf::GlobalCollocation::content_hash()
 ///                                uses).
 ///
-/// Eviction is LRU under a byte budget (UPDEC_CACHE_BYTES, default 512 MiB;
-/// 0 disables storage entirely -- get_or_compute() then degenerates to
-/// single-flight compute). Lookups are thread-safe, and concurrent misses on
-/// the same key are single-flighted: one caller computes, the rest block on
-/// a shared future, so a 16-job batch never factors the same matrix twice.
+/// Eviction is GreedyDual-Size (Cao & Irani, USENIX 1997) under a byte
+/// budget (UPDEC_CACHE_BYTES, default 512 MiB; 0 disables storage entirely
+/// -- get_or_compute() then degenerates to single-flight compute). Each
+/// entry carries a priority H = L + build_seconds / bytes, where
+/// build_seconds is its compute's wall time on the steady clock and L is
+/// the cache clock; a hit resets H from the current L. When an insert takes
+/// the cache over budget, the lowest H goes first (ties to the least
+/// recently used, the new entry included) and L rises to it. So what is
+/// costly to rebuild per byte it frees -- a refined cloud's adaptation, a
+/// dense factorisation -- outlives cheap artefacts of the same size, while
+/// the rising clock still ages out entries that are no longer read. Every
+/// artefact is booked once, by the entry that owns it, so bytes is what
+/// evicting that entry frees.
+///
+/// Lookups are thread-safe, and concurrent misses on the same key are
+/// single-flighted: one caller computes, the rest block on a shared future,
+/// so a 16-job batch never factors the same matrix twice.
 ///
 /// Counters (when metrics are enabled): serve/cache.hits, .misses,
 /// .evictions, .inflight_waits; gauge serve/cache.bytes.
@@ -33,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -163,11 +174,11 @@ class DiskCache {
   Stats stats_;
 };
 
-/// Thread-safe LRU cache of type-erased immutable artefacts.
+/// Thread-safe GreedyDual-Size cache of type-erased immutable artefacts.
 class OperatorCache {
  public:
   /// Per-artefact-class accounting. Every lookup names its artefact class
-  /// (e.g. "lu", "bundle", "refined-bundle"), so the traffic of one class
+  /// (e.g. "bundle", "refined-bundle", "rbffd"), so the traffic of one class
   /// is never hidden among the rows of another it shares the cache with.
   struct ClassStats {
     std::uint64_t hits = 0;
@@ -189,7 +200,9 @@ class OperatorCache {
     DiskCache::Stats disk;             ///< zeroed when no disk tier is armed
   };
 
-  /// A computed artefact plus its resident size (for budget accounting).
+  /// A computed artefact plus its resident size: the bytes evicting it
+  /// frees, which is both its share of the budget and the divisor of its
+  /// rebuild cost.
   template <typename T>
   struct Sized {
     std::shared_ptr<const T> value;
@@ -198,7 +211,7 @@ class OperatorCache {
 
   /// `disk_dir` non-empty arms the persistent tier (UPDEC_CACHE_DIR by
   /// default); artefacts registered through get_or_compute_disk() then
-  /// survive process restarts and warm-promote into the in-memory LRU.
+  /// survive process restarts and warm-promote into the in-memory tier.
   explicit OperatorCache(std::size_t byte_budget = byte_budget_from_env(),
                          std::string disk_dir = cache_dir_from_env());
 
@@ -207,10 +220,11 @@ class OperatorCache {
 
   /// Return the cached value for `key`, or run `compute` (exactly once
   /// across concurrent callers) and cache its result. `compute` must return
-  /// Sized<T>; it runs outside the cache lock. An exception thrown by the
-  /// leader's compute propagates to every caller waiting on that key and
-  /// nothing is cached. `klass` names the artefact class for per-class
-  /// stats accounting (a static string: "lu", "bundle", "rbffd", ...).
+  /// Sized<T>; it runs outside the cache lock, timed on the steady clock for
+  /// the entry's priority. An exception thrown by the leader's compute
+  /// propagates to every caller waiting on that key and nothing is cached.
+  /// `klass` names the artefact class for per-class stats accounting (a
+  /// static string: "bundle", "refined-bundle", "rbffd", ...).
   template <typename T, typename Fn>
   std::shared_ptr<const T> get_or_compute(const CacheKey& key, Fn&& compute,
                                           const char* klass = "other") {
@@ -227,7 +241,7 @@ class OperatorCache {
 
   /// Like get_or_compute, with the persistent tier underneath: a memory
   /// miss first probes the disk tier (a verified entry is decoded and
-  /// promoted into the LRU -- the warm-restart path), and a genuine compute
+  /// promoted into memory -- the warm-restart path), and a genuine compute
   /// is encoded and persisted for the next process. `encode` maps const T&
   /// to the payload bytes; `decode` maps the verified payload back to a
   /// Sized<T> and may throw updec::Error on a malformed payload (the entry
@@ -260,7 +274,7 @@ class OperatorCache {
   }
 
   /// Probe without computing (testing / diagnostics). Does not count as a
-  /// hit and does not touch LRU order.
+  /// hit and does not touch the entry's priority.
   [[nodiscard]] bool contains(const CacheKey& key) const;
 
   /// The persistent tier, or nullptr when disarmed.
@@ -282,27 +296,38 @@ class OperatorCache {
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
   };
+  /// (H, tick of last use): lexicographic order puts the next victim first,
+  /// and among equal priorities the least recently used.
+  using Rank = std::pair<double, std::uint64_t>;
   struct Entry {
-    CacheKey key;
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
+    double cost_per_byte = 0.0;  ///< leader's compute seconds / bytes
+    Rank rank;
     std::string klass;
   };
+  using Index = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
 
   std::shared_ptr<const void> get_or_compute_erased(
       const CacheKey& key, const std::function<Computed()>& compute,
       const char* klass);
-  /// Insert under the budget, evicting LRU tail entries. Caller holds mutex_.
+  /// H = L + cost_per_byte at a fresh tick. Caller holds mutex_.
+  Rank rank_locked(double cost_per_byte) {
+    return {clock_ + cost_per_byte, ++tick_};
+  }
+  /// Insert under the budget, then evict lowest-H entries (possibly the new
+  /// one) until it fits. Caller holds mutex_.
   void store_locked(const CacheKey& key, const Computed& computed,
-                    const char* klass);
+                    double seconds, const char* klass);
   /// Drop `it`'s entry and fix the byte/entry/class accounting. Caller
   /// holds mutex_. Does NOT count an eviction.
-  void erase_locked(std::list<Entry>::iterator it);
+  void erase_locked(Index::iterator it);
 
   mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
-      index_;
+  Index index_;
+  std::map<Rank, CacheKey> queue_;  ///< begin() is the next victim
+  double clock_ = 0.0;              ///< L: priority of the last victim
+  std::uint64_t tick_ = 0;
   std::unordered_map<CacheKey, std::shared_future<Computed>, CacheKeyHash>
       inflight_;
   std::size_t byte_budget_;
@@ -319,7 +344,8 @@ OperatorCache& global_cache();
 // Byte-exact binary round trips for the artefacts worth persisting: the
 // O(N^3) dense LU and RBF-FD stencil weight matrices.
 // decode_* throw updec::Error on malformed payloads (inconsistent sizes),
-// which get_or_compute_disk treats as corruption: drop and recompute.
+// which get_or_compute_disk and memoize_lu treat as corruption: drop and
+// recompute.
 
 [[nodiscard]] std::string encode_lu(const la::LuFactorization& lu);
 [[nodiscard]] la::LuFactorization decode_lu(std::string_view payload);
@@ -340,13 +366,12 @@ OperatorCache& global_cache();
 /// permutation vector.
 [[nodiscard]] std::size_t lu_bytes(const la::LuFactorization& lu);
 
-/// Factorisation of `colloc`'s matrix, memoized under its content hash.
-/// On a hit the O(N^3) factor step is skipped entirely.
-[[nodiscard]] std::shared_ptr<const la::LuFactorization> cached_lu(
-    OperatorCache& cache, const rbf::GlobalCollocation& colloc);
-
-/// cached_lu() + install: after this call, colloc.lu()/solve()/solve_many()
-/// reuse the memoized factorisation.
+/// Give `colloc` its factorisation now, so that a timed build (a serve
+/// bundle's compute) pays for it. The LU is booked by whatever owns `colloc`
+/// and is never an in-memory cache entry of its own. With `cache`'s disk
+/// tier armed, a verified LU persisted under the matrix content hash is
+/// loaded and installed instead of factoring (the warm-restart path), and a
+/// fresh factorisation is persisted for the next process.
 void memoize_lu(OperatorCache& cache, rbf::GlobalCollocation& colloc);
 
 /// RBF-FD differentiation matrix for `op`, memoized under
@@ -354,8 +379,5 @@ void memoize_lu(OperatorCache& cache, rbf::GlobalCollocation& colloc);
 [[nodiscard]] std::shared_ptr<const la::CsrMatrix> cached_rbffd_weights(
     OperatorCache& cache, const rbf::RbffdOperators& ops,
     const rbf::LinearOp& op);
-
-/// Resident size of a sparse artefact.
-[[nodiscard]] std::size_t csr_bytes(const la::CsrMatrix& m);
 
 }  // namespace updec::serve

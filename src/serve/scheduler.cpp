@@ -89,10 +89,11 @@ RetryPolicy retry_policy_from_env() {
 namespace {
 
 /// Everything a Laplace scenario family shares: the kernel, the assembled
-/// problem (collocation + flux operators) and -- via memoize_lu -- the
-/// factorisation. Immutable after construction, so one bundle serves any
-/// number of concurrent jobs (GlobalCollocation's lazy LU is mutex-guarded,
-/// and each DP strategy instance owns its private tape).
+/// problem (collocation + flux operators) and its factorisation, which
+/// memoize_lu computes (or loads from the disk tier) inside the bundle's
+/// timed build. Immutable after construction, so one bundle serves any
+/// number of concurrent jobs (GlobalCollocation's LU is mutex-guarded, and
+/// each DP strategy instance owns its private tape).
 struct LaplaceBundle {
   std::unique_ptr<const rbf::Kernel> kernel;
   std::shared_ptr<control::LaplaceControlProblem> problem;
@@ -113,16 +114,18 @@ std::shared_ptr<const LaplaceBundle> laplace_bundle(OperatorCache& cache,
         bundle->kernel = std::make_unique<rbf::PolyharmonicSpline>(3);
         bundle->problem = std::make_shared<control::LaplaceControlProblem>(
             sc.grid_n, *bundle->kernel, sc.poly_degree);
-        // Level 2: the factorisation is ALSO cached under the matrix content
-        // hash, so it survives bundle eviction and is shared with any other
-        // bundle whose collocation matrix is bit-identical.
-        memoize_lu(cache, bundle->problem->solver().collocation());
-        const std::size_t ss =
-            bundle->problem->solver().collocation().system_size();
-        // Dominant storage: collocation matrix + flux/evaluation operators +
-        // the (separately accounted but bundle-pinned) LU.
-        return OperatorCache::Sized<LaplaceBundle>{
-            std::move(bundle), 3 * ss * ss * sizeof(double)};
+        rbf::GlobalCollocation& colloc =
+            bundle->problem->solver().collocation();
+        memoize_lu(cache, colloc);
+        // The bundle owns every dense array it holds: the collocation
+        // matrix, its LU and the top-wall flux operator.
+        const la::Matrix& a = colloc.matrix();
+        const la::Matrix& flux = bundle->problem->solver().flux_matrix();
+        const std::size_t bytes =
+            (a.rows() * a.cols() + flux.rows() * flux.cols()) *
+                sizeof(double) +
+            lu_bytes(colloc.lu());
+        return OperatorCache::Sized<LaplaceBundle>{std::move(bundle), bytes};
       },
       "bundle");
 }
@@ -166,10 +169,8 @@ std::shared_ptr<const LaplaceRefinedBundle> laplace_refined_bundle(
         options.refine = rc;
         refine::AdaptiveLoop loop(sc.grid_n, *bundle->kernel, options);
         bundle->problem = loop.run().problem;
-        const la::CsrMatrix& m = bundle->problem->solver().op().matrix();
-        const std::size_t bytes =
-            (m.values().size() + m.col_idx().size()) * sizeof(double) +
-            m.row_ptr().size() * sizeof(std::size_t);
+        // The system matrix and its band factor, which dominates.
+        const std::size_t bytes = bundle->problem->solver().op().bytes();
         return OperatorCache::Sized<LaplaceRefinedBundle>{std::move(bundle),
                                                           bytes};
       },
@@ -502,7 +503,7 @@ Scheduler::Scheduler(SchedulerOptions options)
   if (n_shards > 0) {
     // Shard mode: fork the worker processes FIRST (ShardPool's constructor
     // forks before starting any thread), then wire results back into the
-    // promise/completion-queue machinery.
+    // jobs' promises.
     ShardOptions shard_options;
     shard_options.shards = n_shards;
     shard_options.default_deadline_ms = default_deadline_ms_;
@@ -510,15 +511,14 @@ Scheduler::Scheduler(SchedulerOptions options)
     shards_ = std::make_unique<ShardPool>(shard_options);
     shards_->set_on_result([this](std::size_t shard_job, JobReport&& report) {
       std::shared_ptr<JobState> state;
-      JobId id = 0;
       {
         std::lock_guard lock(jobs_mutex_);
         const auto it = shard_to_job_.find(shard_job);
         if (it == shard_to_job_.end()) return;
-        id = it->second;
-        state = jobs_.at(id);
+        state = jobs_.at(it->second);
+        shard_to_job_.erase(it);  // finished: nothing routes to it again
       }
-      finish_job(id, state, std::move(report));
+      finish_job(*state, std::move(report));
     });
     shards_->set_on_status([this](std::size_t shard_job, JobStatus live) {
       std::lock_guard lock(jobs_mutex_);
@@ -536,18 +536,14 @@ Scheduler::~Scheduler() {
   shards_.reset();  // drains + reaps workers
 }
 
-void Scheduler::finish_job(JobId id, const std::shared_ptr<JobState>& state,
-                           JobReport&& report) {
-  state->live.store(report.status, std::memory_order_relaxed);
-  state->done.store(true, std::memory_order_release);
-  JobReport copy = report;
-  state->promise.set_value(std::move(report));
-  {
-    std::lock_guard lock(jobs_mutex_);
-    completed_.emplace_back(id, std::move(copy));
-    if (unstreamed_ > 0) --unstreamed_;
-  }
-  completed_cv_.notify_all();
+void Scheduler::finish_job(JobState& state, JobReport&& report) {
+  state.live.store(report.status, std::memory_order_relaxed);
+  state.done.store(true, std::memory_order_release);
+  state.promise.set_value(std::move(report));
+}
+
+void Scheduler::take_locked(JobId id, JobStatus final_status) {
+  if (jobs_.erase(id) != 0) taken_status_[id - 1] = final_status;
 }
 
 Scheduler::JobId Scheduler::submit(Scenario scenario) {
@@ -559,7 +555,7 @@ Scheduler::JobId Scheduler::submit(Scenario scenario) {
     std::lock_guard lock(jobs_mutex_);
     id = next_id_++;
     jobs_.emplace(id, state);
-    ++unstreamed_;
+    taken_status_.push_back(JobStatus::kPending);
     if (shards_) {
       // Register the mapping under the lock: the dispatcher's result
       // callback blocks on it until we are done, so a fast completion can
@@ -589,7 +585,7 @@ Scheduler::JobId Scheduler::submit(Scenario scenario) {
             state->live.store(live, std::memory_order_relaxed);
           });
     }
-    finish_job(id, state, std::move(report));
+    finish_job(*state, std::move(report));
   });
   return id;
 }
@@ -597,8 +593,10 @@ Scheduler::JobId Scheduler::submit(Scenario scenario) {
 JobStatus Scheduler::status(JobId id) const {
   std::lock_guard lock(jobs_mutex_);
   const auto it = jobs_.find(id);
-  UPDEC_REQUIRE(it != jobs_.end(), "Scheduler::status: unknown job id");
-  return it->second->live.load(std::memory_order_relaxed);
+  if (it != jobs_.end())
+    return it->second->live.load(std::memory_order_relaxed);
+  UPDEC_REQUIRE(id >= 1 && id < next_id_, "Scheduler::status: unknown job id");
+  return taken_status_[id - 1];
 }
 
 bool Scheduler::cancel(JobId id) {
@@ -616,27 +614,6 @@ bool Scheduler::cancel(JobId id) {
     return shards_->cancel(state->shard_job);
   }
   return !state->done.load(std::memory_order_acquire);
-}
-
-std::optional<std::pair<Scheduler::JobId, JobReport>>
-Scheduler::try_next_completed() {
-  std::lock_guard lock(jobs_mutex_);
-  if (completed_.empty()) return std::nullopt;
-  auto out = std::move(completed_.front());
-  completed_.pop_front();
-  return out;
-}
-
-std::optional<std::pair<Scheduler::JobId, JobReport>>
-Scheduler::next_completed() {
-  std::unique_lock lock(jobs_mutex_);
-  completed_cv_.wait(lock, [this] {
-    return !completed_.empty() || unstreamed_ == 0;
-  });
-  if (completed_.empty()) return std::nullopt;
-  auto out = std::move(completed_.front());
-  completed_.pop_front();
-  return out;
 }
 
 std::size_t Scheduler::shard_count() const {
@@ -675,22 +652,32 @@ JobReport Scheduler::wait(JobId id) {
   {
     std::lock_guard lock(jobs_mutex_);
     const auto it = jobs_.find(id);
-    UPDEC_REQUIRE(it != jobs_.end(), "Scheduler::wait: unknown job id");
+    UPDEC_REQUIRE(id >= 1 && id < next_id_, "Scheduler::wait: unknown job id");
+    UPDEC_REQUIRE(it != jobs_.end(),
+                  "Scheduler::wait: the job's report was already taken");
     future = it->second->future;
   }
-  return future.get();
+  JobReport report = future.get();
+  std::lock_guard lock(jobs_mutex_);
+  take_locked(id, report.status);
+  return report;
 }
 
 std::vector<JobReport> Scheduler::wait_all() {
-  std::vector<std::shared_future<JobReport>> futures;
+  std::vector<std::pair<JobId, std::shared_future<JobReport>>> futures;
   {
     std::lock_guard lock(jobs_mutex_);
     futures.reserve(jobs_.size());
-    for (const auto& [id, state] : jobs_) futures.push_back(state->future);
+    for (const auto& [id, state] : jobs_)
+      futures.emplace_back(id, state->future);
   }
   std::vector<JobReport> reports;
   reports.reserve(futures.size());
-  for (auto& f : futures) reports.push_back(f.get());
+  for (auto& [id, future] : futures) {
+    reports.push_back(future.get());
+    std::lock_guard lock(jobs_mutex_);
+    take_locked(id, reports.back().status);
+  }
   return reports;
 }
 

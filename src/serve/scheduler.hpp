@@ -7,15 +7,15 @@
 /// control or Navier-Stokes inflow control), which gradient strategy
 /// (DP / DAL / FD), the discretisation, and the run budget. The Scheduler
 /// executes scenarios on a serve::ThreadPool and memoizes the expensive
-/// discretisation artefacts in a serve::OperatorCache, two-level:
-///
-///   1. problem bundles (assembled collocation + solver + problem object)
-///      keyed by configuration -- jobs sharing a discretisation share ONE
-///      problem instance (safe: the shared state is immutable after
-///      construction; the lazily factored LU is mutex-guarded);
-///   2. LU factorisations keyed by rbf::GlobalCollocation::content_hash()
-///      -- survives bundle eviction and deduplicates across distinct
-///      problem objects whose matrices happen to be identical.
+/// discretisation artefacts in a serve::OperatorCache as problem bundles
+/// (assembled collocation or adapted cloud, its factorisation, the problem
+/// object) keyed by configuration: jobs sharing a discretisation share ONE
+/// problem instance (safe: the shared state is immutable after
+/// construction). A bundle books every byte it holds, its factorisation
+/// included, so the cache weighs its build time against what evicting it
+/// frees. With a disk tier armed, a uniform bundle's LU is also persisted
+/// under rbf::GlobalCollocation::content_hash(), so a rebuild after eviction
+/// or a restart loads it instead of factoring.
 ///
 /// Cancellation and deadlines are cooperative: they are routed into
 /// control::DriverOptions::should_stop, polled once per optimisation
@@ -27,10 +27,8 @@
 /// independent of scheduling order and thread count.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <map>
@@ -209,9 +207,18 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  // ---- one-take reports -------------------------------------------------
+  // wait() and wait_all() hand each job's report out once. Taking it frees
+  // the job's scenario and report (a shard-mode job's routing goes when it
+  // finishes); only its final status stays, so a long-running scheduler
+  // holds a byte per finished job rather than every report it produced.
+  // After the take, status() still answers, cancel() returns false and a
+  // further wait() throws. Threads already blocked in wait() on the job
+  // when it resolves all receive the report.
+
   /// Enqueue one scenario; returns a handle for cancel()/wait(). Blocks
   /// under queue backpressure in thread mode; returns immediately in shard
-  /// mode (results stream back through the completion queue).
+  /// mode.
   JobId submit(Scenario scenario);
 
   /// Request cancellation. A job that has not started yet resolves to
@@ -222,28 +229,17 @@ class Scheduler {
   bool cancel(JobId id);
 
   /// Live status of a job: kPending until a worker picks it up, kRunning /
-  /// kRetrying while in flight, then the report's final status.
+  /// kRetrying while in flight, then the report's final status (also after
+  /// the report was taken). Throws updec::Error on an id never issued.
   [[nodiscard]] JobStatus status(JobId id) const;
 
-  /// Block until the job resolves and return its report. Each job's report
-  /// can be waited on from any number of threads.
+  /// Block until the job resolves and take its report. Throws updec::Error
+  /// on an id never issued or whose report was already taken.
   [[nodiscard]] JobReport wait(JobId id);
 
-  /// Wait for every job submitted so far, in submission order.
+  /// Wait for every job whose report has not been taken yet, and take
+  /// those reports, in submission order.
   [[nodiscard]] std::vector<JobReport> wait_all();
-
-  // ---- async completion stream -------------------------------------------
-  // Every job's report is ALSO pushed onto a completion queue the moment it
-  // resolves, in completion (not submission) order. wait()/wait_all() and
-  // the stream are independent views: consuming one never starves the other.
-
-  /// Pop the next completed job if one is ready; nullopt otherwise.
-  [[nodiscard]] std::optional<std::pair<JobId, JobReport>>
-  try_next_completed();
-
-  /// Block until a job completes and pop it. nullopt iff every submitted
-  /// job's completion has already been streamed (nothing left to wait for).
-  [[nodiscard]] std::optional<std::pair<JobId, JobReport>> next_completed();
 
   [[nodiscard]] std::size_t thread_count() const {
     return pool_ ? pool_->thread_count() : 0;
@@ -273,22 +269,26 @@ class Scheduler {
     std::shared_future<JobReport> future;
   };
 
-  /// Resolve a job: promise, live status, completion queue. Called exactly
-  /// once per job, from the worker lambda (thread mode) or the shard pool's
-  /// result callback (dispatcher thread).
-  void finish_job(JobId id, const std::shared_ptr<JobState>& state,
-                  JobReport&& report);
+  /// Resolve a job: live status, then the promise. Called exactly once per
+  /// job, from the worker lambda (thread mode) or the shard pool's result
+  /// callback (dispatcher thread).
+  static void finish_job(JobState& state, JobReport&& report);
+
+  /// Forget a job whose report was handed out, keeping its final status.
+  /// Caller holds jobs_mutex_.
+  void take_locked(JobId id, JobStatus final_status);
 
   OperatorCache* cache_;
   double default_deadline_ms_;
   RetryPolicy retry_;
   mutable std::mutex jobs_mutex_;
+  /// Jobs whose report has not been taken, in submission order.
   std::map<JobId, std::shared_ptr<JobState>> jobs_;
-  std::map<std::size_t, JobId> shard_to_job_;  ///< ShardPool id -> JobId
+  /// ShardPool id -> JobId, for jobs in flight in shard mode.
+  std::map<std::size_t, JobId> shard_to_job_;
+  /// Final status by JobId - 1; read once the job has left jobs_.
+  std::vector<JobStatus> taken_status_;
   JobId next_id_ = 1;
-  std::deque<std::pair<JobId, JobReport>> completed_;
-  std::condition_variable completed_cv_;
-  std::size_t unstreamed_ = 0;  ///< submitted, completion not yet queued
   std::unique_ptr<ShardPool> shards_;  ///< shard mode only; forks in ctor
   std::unique_ptr<ThreadPool> pool_;   ///< thread mode only; last member
 };

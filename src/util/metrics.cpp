@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 
 #include "util/log.hpp"
 #include "util/memory.hpp"
@@ -412,6 +414,19 @@ bool dump_json_file(const std::string& path) {
   // Quiesce producer threads (worker pools) before snapshotting, so the
   // counters written out are final rather than a torn mid-flight view.
   run_predump_hooks();
+  // A bench's --out directory may not exist yet (only series writers used
+  // to create it), so make the parent here rather than drop the dump.
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  if (!parent.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(parent, ec);
+    if (ec) {
+      log_warn() << "metrics: cannot create " << parent.string() << " ("
+                 << ec.message() << ")";
+      return false;
+    }
+  }
   // Write-to-tmp + rename (the driver-checkpoint discipline): a crash or a
   // full disk mid-dump must never leave a truncated JSON at `path`, where
   // it would poison the bench-metrics CI diff on the next run.

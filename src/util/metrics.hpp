@@ -164,7 +164,8 @@ void run_predump_hooks();
 void dump_json(std::ostream& os);
 [[nodiscard]] std::string dump_json();
 
-/// Write the dump to `path`; returns false (and logs at warn) on I/O error.
+/// Write the dump to `path`, creating its parent directories first; returns
+/// false (and logs at warn) on I/O error.
 bool dump_json_file(const std::string& path);
 
 /// Write the dump to $UPDEC_METRICS_OUT if set; returns true iff written.

@@ -8,6 +8,9 @@
 #include <cctype>
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -308,6 +311,26 @@ TEST_F(MetricsTest, EmptyRegistryDumpIsValidJson) {
   const std::string json = metrics::dump_json();
   JsonChecker checker(json);
   EXPECT_TRUE(checker.valid()) << json;
+}
+
+TEST_F(MetricsTest, DumpFileCreatesMissingParentDirectories) {
+  // A bench's --out directory need not exist: the dump makes it rather
+  // than dropping the JSON with a warning.
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "updec_metrics_out";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path file = root / "nested" / "BENCH_t.json";
+  metrics::counter_add("t/file.c", 5);
+  ASSERT_TRUE(metrics::dump_json_file(file.string()));
+  std::ifstream in(file);
+  ASSERT_TRUE(in.good()) << file;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  JsonChecker checker(json);
+  EXPECT_TRUE(checker.valid()) << json;
+  EXPECT_NE(json.find("\"t/file.c\": 5"), std::string::npos) << json;
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(MetricsTest, RoundTripThroughRegistry) {

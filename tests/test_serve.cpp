@@ -1,8 +1,8 @@
 // Tests for the scenario-serving runtime (src/serve): thread-pool ordering
-// and fault containment, operator-cache hit/miss/LRU/contention semantics,
-// scheduler cancellation and deadlines, the batched multi-RHS solve paths
-// they are built on, and the metrics predump hook that makes the atexit
-// JSON dump safe while pool workers are live.
+// and fault containment, operator-cache hit/miss/eviction/contention
+// semantics, scheduler cancellation, deadlines and one-take reports, the
+// batched multi-RHS solve paths they are built on, and the metrics predump
+// hook that makes the atexit JSON dump safe while pool workers are live.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +24,8 @@
 #include "pde/laplace.hpp"
 #include "pointcloud/generators.hpp"
 #include "rbf/kernels.hpp"
+#include "rbf/rbffd.hpp"
+#include "refine/adaptive_loop.hpp"
 #include "serve/cache.hpp"
 #include "serve/pool.hpp"
 #include "serve/scheduler.hpp"
@@ -133,6 +135,18 @@ OperatorCache::Sized<int> sized_int(int v, std::size_t bytes) {
   return {std::make_shared<const int>(v), bytes};
 }
 
+/// A cache entry whose compute takes `ms` of wall time to build.
+OperatorCache::Sized<int> slow_int(int v, std::size_t bytes, int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  return sized_int(v, bytes);
+}
+
+std::string fresh_cache_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "updec_disk_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 TEST(OperatorCache, HitAndMissCounting) {
   OperatorCache cache(1 << 20);
   int computes = 0;
@@ -153,23 +167,48 @@ TEST(OperatorCache, HitAndMissCounting) {
   EXPECT_EQ(s.bytes, 100u);
 }
 
-TEST(OperatorCache, LruEvictionUnderByteBudget) {
+TEST(OperatorCache, CostlySmallEntrySurvivesAStreamOfCheapLargeOnes) {
+  // GreedyDual-Size keeps what is costly to rebuild per byte: a 100-byte
+  // entry that took 20 ms outlives instant entries of a third of the budget
+  // each, streamed over more keys than fit, however recently they were
+  // used. Recency alone would have evicted it on the third insert.
+  OperatorCache cache(3000);
+  const auto key_of = [](std::uint64_t i) {
+    return KeyBuilder("gds-stream").add(i).key();
+  };
+  const CacheKey costly = KeyBuilder("gds-costly").key();
+  (void)cache.get_or_compute<int>(costly, [] { return slow_int(0, 100, 20); });
+  for (int round = 0; round < 3; ++round)
+    for (std::uint64_t i = 0; i < 8; ++i)
+      (void)cache.get_or_compute<int>(key_of(i), [i] {
+        return sized_int(static_cast<int>(i), 1000);
+      });
+  EXPECT_TRUE(cache.contains(costly));
+  const OperatorCache::Stats s = cache.stats();
+  // Two cheap entries fit beside the costly one, so each round of eight
+  // keys evicts at least six times.
+  EXPECT_GE(s.evictions, 18u);
+  EXPECT_LE(s.bytes, 3000u);
+}
+
+TEST(OperatorCache, CheapestEntryToRebuildIsTheOneNotKept) {
   OperatorCache cache(250);  // fits two 100-byte entries, not three
   const auto key_of = [](std::uint64_t i) {
-    return KeyBuilder("lru").add(i).key();
+    return KeyBuilder("gds").add(i).key();
   };
-  (void)cache.get_or_compute<int>(key_of(1), [&] { return sized_int(1, 100); });
-  (void)cache.get_or_compute<int>(key_of(2), [&] { return sized_int(2, 100); });
-  // Touch 1 so 2 becomes least recently used...
-  (void)cache.get_or_compute<int>(key_of(1), [&] { return sized_int(1, 100); });
-  // ...then inserting 3 must evict 2, not 1.
-  (void)cache.get_or_compute<int>(key_of(3), [&] { return sized_int(3, 100); });
+  (void)cache.get_or_compute<int>(key_of(1),
+                                  [] { return slow_int(1, 100, 20); });
+  (void)cache.get_or_compute<int>(key_of(2),
+                                  [] { return slow_int(2, 100, 20); });
+  // The newest entry builds instantly, so its priority is the lowest: it is
+  // the one evicted, not the least recently used.
+  (void)cache.get_or_compute<int>(key_of(3), [] { return sized_int(3, 100); });
   EXPECT_TRUE(cache.contains(key_of(1)));
-  EXPECT_FALSE(cache.contains(key_of(2)));
-  EXPECT_TRUE(cache.contains(key_of(3)));
+  EXPECT_TRUE(cache.contains(key_of(2)));
+  EXPECT_FALSE(cache.contains(key_of(3)));
   const OperatorCache::Stats s = cache.stats();
   EXPECT_EQ(s.evictions, 1u);
-  EXPECT_LE(s.bytes, 250u);
+  EXPECT_EQ(s.bytes, 200u);
 }
 
 TEST(OperatorCache, ZeroBudgetDisablesStorageButStillComputes) {
@@ -238,30 +277,50 @@ TEST(OperatorCache, FingerprintsSeparateDistinctInputs) {
 }
 
 TEST(OperatorCache, CachedLuIsSharedAndInstallable) {
+  // memoize_lu books no in-memory entry: the LU belongs to the collocation
+  // (and so to the bundle that owns it). With no disk tier it factors on
+  // the spot; with one, a second collocation of the same matrix loads the
+  // persisted factorisation instead of factoring.
   const rbf::PolyharmonicSpline kernel(3);
   pde::LaplaceSolver s1(6, kernel);
   pde::LaplaceSolver s2(6, kernel);  // identical layout => identical matrix
+  pde::LaplaceSolver s3(6, kernel);
   ASSERT_EQ(s1.collocation().content_hash(), s2.collocation().content_hash());
 
-  OperatorCache cache(std::size_t{64} << 20);
-  serve::memoize_lu(cache, s1.collocation());
-  serve::memoize_lu(cache, s2.collocation());
-  // Second memoize must be a hit: both solvers share one factorisation.
-  const OperatorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(&s1.collocation().lu(), &s2.collocation().lu());
+  OperatorCache memory_only(std::size_t{64} << 20, "");
+  ASSERT_EQ(s1.collocation().factor_report().attempts, 0u);
+  serve::memoize_lu(memory_only, s1.collocation());
+  EXPECT_GE(s1.collocation().factor_report().attempts, 1u);  // factored now
+  const OperatorCache::Stats m = memory_only.stats();
+  EXPECT_EQ(m.entries, 0u);
+  EXPECT_EQ(m.hits + m.misses, 0u);
 
-  // The installed factorisation must actually solve the system.
+  const std::string dir = fresh_cache_dir("shared_lu");
+  OperatorCache cache(std::size_t{64} << 20, dir);
+  serve::memoize_lu(cache, s2.collocation());
+  serve::memoize_lu(cache, s3.collocation());
+  const OperatorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.disk.writes, 1u);
+  EXPECT_EQ(s.disk.hits, 1u);  // s3 installed s2's persisted factorisation
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.hits + s.misses, 0u);
+
+  // The installed factorisations must actually solve the system.
   const la::Vector c(s1.num_control(), 0.25);
   const la::Vector u1 = s1.solve(c);
   const la::Vector u2 = s2.solve(c);
-  for (std::size_t i = 0; i < u1.size(); ++i) EXPECT_EQ(u1[i], u2[i]);
+  const la::Vector u3 = s3.solve(c);
+  for (std::size_t i = 0; i < u1.size(); ++i) {
+    EXPECT_EQ(u1[i], u2[i]);
+    EXPECT_EQ(u1[i], u3[i]);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OperatorCache, PerClassStatsSplitLuAndBundleTraffic) {
   // Every lookup names its artefact class; hits, misses, residency and
-  // evictions are accounted per class as well as in total.
+  // evictions are accounted per class as well as in total. A memoized LU
+  // adds no class of its own.
   const rbf::PolyharmonicSpline kernel(3);
   pde::LaplaceSolver s1(6, kernel);
   pde::LaplaceSolver s2(6, kernel);
@@ -272,24 +331,30 @@ TEST(OperatorCache, PerClassStatsSplitLuAndBundleTraffic) {
   for (int i = 0; i < 3; ++i)
     (void)cache.get_or_compute<int>(key, [] { return sized_int(7, 100); },
                                     "bundle");
+  const pc::PointCloud cloud = pc::unit_square_grid(6, 6);
+  const rbf::RbffdOperators ops(cloud, kernel);
+  const auto w =
+      serve::cached_rbffd_weights(cache, ops, rbf::LinearOp::laplacian());
+  (void)serve::cached_rbffd_weights(cache, ops, rbf::LinearOp::laplacian());
 
   const OperatorCache::Stats s = cache.stats();
-  const auto lu = s.by_class.find("lu");
+  EXPECT_EQ(s.by_class.count("lu"), 0u);
   const auto bundle = s.by_class.find("bundle");
-  ASSERT_NE(lu, s.by_class.end());
+  const auto rbffd = s.by_class.find("rbffd");
   ASSERT_NE(bundle, s.by_class.end());
-  EXPECT_EQ(lu->second.misses, 1u);
-  EXPECT_EQ(lu->second.hits, 1u);
-  EXPECT_EQ(lu->second.entries, 1u);
-  EXPECT_EQ(lu->second.bytes, serve::lu_bytes(s1.collocation().lu()));
+  ASSERT_NE(rbffd, s.by_class.end());
   EXPECT_EQ(bundle->second.misses, 1u);
   EXPECT_EQ(bundle->second.hits, 2u);
   EXPECT_EQ(bundle->second.entries, 1u);
   EXPECT_EQ(bundle->second.bytes, 100u);
-  EXPECT_EQ(lu->second.evictions + bundle->second.evictions, 0u);
+  EXPECT_EQ(rbffd->second.misses, 1u);
+  EXPECT_EQ(rbffd->second.hits, 1u);
+  EXPECT_EQ(rbffd->second.entries, 1u);
+  EXPECT_EQ(rbffd->second.bytes, w->bytes());
+  EXPECT_EQ(bundle->second.evictions + rbffd->second.evictions, 0u);
   EXPECT_EQ(s.hits, 3u);
   EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.bytes, lu->second.bytes + bundle->second.bytes);
+  EXPECT_EQ(s.bytes, bundle->second.bytes + rbffd->second.bytes);
 }
 
 // ---- thread pool ---------------------------------------------------------
@@ -397,11 +462,12 @@ TEST(Scheduler, RunsABatchAndReportsInSubmissionOrder) {
     EXPECT_EQ(reports[i].cost_history.size(), 5u);
     EXPECT_GT(reports[i].seconds, 0.0);
   }
-  // All six jobs share one discretisation: exactly one bundle build and one
-  // factorisation; every other lookup is a hit or (when a job arrives while
-  // the leader is still building) an in-flight join -- never a recompute.
+  // All six jobs share one discretisation: exactly one bundle build, which
+  // factors the LU; every other lookup is a hit or (when a job arrives
+  // while the leader is still building) an in-flight join -- never a
+  // recompute.
   const OperatorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.misses, 2u);  // bundle + LU
+  EXPECT_EQ(s.misses, 1u);  // the bundle, LU included
   EXPECT_GE(s.hits + s.inflight_waits, 5u);
 }
 
@@ -537,6 +603,63 @@ TEST(Scheduler, StatusTracksTheJobLifecycle) {
   (void)scheduler.wait(id);
   EXPECT_EQ(scheduler.status(id), serve::JobStatus::kSucceeded);
   EXPECT_THROW((void)scheduler.status(9999), Error);
+}
+
+TEST(Scheduler, ReportIsTakenOnce) {
+  // wait() and wait_all() hand a report out once; the job then keeps only
+  // its final status.
+  OperatorCache cache(std::size_t{64} << 20);
+  serve::SchedulerOptions options;
+  options.threads = 1;
+  options.cache = &cache;
+  serve::Scheduler scheduler(options);
+  const auto first = scheduler.submit(quick_laplace("first", 3));
+  const auto second = scheduler.submit(quick_laplace("second", 3));
+  const serve::JobReport report = scheduler.wait(first);
+  ASSERT_EQ(report.status, serve::JobStatus::kSucceeded) << report.error;
+  EXPECT_THROW((void)scheduler.wait(first), Error);
+  EXPECT_EQ(scheduler.status(first), serve::JobStatus::kSucceeded);
+  EXPECT_FALSE(scheduler.cancel(first));
+
+  // wait_all() takes only what is left.
+  const std::vector<serve::JobReport> rest = scheduler.wait_all();
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].id, "second");
+  EXPECT_EQ(scheduler.status(second), serve::JobStatus::kSucceeded);
+  EXPECT_THROW((void)scheduler.wait(second), Error);
+  EXPECT_TRUE(scheduler.wait_all().empty());
+}
+
+TEST(Scheduler, BundlesBookTheirFactorisationsOnce) {
+  // With no disk tier, a Laplace job leaves exactly one entry, its bundle,
+  // which books the LU with the matrices; a refined bundle books its band
+  // factor, not just the CSR matrix it factors.
+  const rbf::PolyharmonicSpline kernel(3);
+  OperatorCache cache(std::size_t{64} << 20, "");
+  ASSERT_TRUE(serve::run_scenario(quick_laplace("uniform", 3), cache).ok());
+  OperatorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.entries, 1u);
+  ASSERT_EQ(s.by_class.count("bundle"), 1u);
+  EXPECT_EQ(s.by_class.at("bundle").entries, 1u);
+  const pde::LaplaceSolver solver(8, kernel);
+  const la::Matrix& a = solver.collocation().matrix();
+  EXPECT_GE(s.by_class.at("bundle").bytes,
+            a.rows() * a.cols() * sizeof(double) +
+                serve::lu_bytes(solver.collocation().lu()));
+
+  serve::Scenario refined = quick_laplace("refined", 3);
+  refined.grid_n = 10;
+  refined.refine_cycles = 1;
+  ASSERT_TRUE(serve::run_scenario(refined, cache).ok());
+  refine::AdaptiveOptions adapt;
+  adapt.refine.cycles = refined.refine_cycles;
+  const refine::AdaptiveResult same =
+      refine::AdaptiveLoop(refined.grid_n, kernel, adapt).run();
+  const la::SparseFirstSolver& op = same.problem->solver().op();
+  s = cache.stats();
+  EXPECT_EQ(s.entries, 2u);
+  ASSERT_EQ(s.by_class.count("refined-bundle"), 1u);
+  EXPECT_GE(s.by_class.at("refined-bundle").bytes, op.bytes());
 }
 
 // ---- retry / degradation ladder ------------------------------------------
@@ -705,44 +828,46 @@ TEST(DiskCodec, DecodeRejectsMalformedPayloads) {
 
 // ---- persistent disk tier ------------------------------------------------
 
-std::string fresh_cache_dir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "updec_disk_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 TEST(DiskCache, WarmRestartServesBitwiseEqualArtefactsFromDisk) {
   const std::string dir = fresh_cache_dir("warm");
   const rbf::PolyharmonicSpline kernel(3);
+  const pc::PointCloud cloud = pc::unit_square_grid(6, 6);
+  const rbf::RbffdOperators ops(cloud, kernel);
+  const rbf::LinearOp lap = rbf::LinearOp::laplacian();
   la::Vector cold, warm;
+  std::vector<double> cold_weights;
 
   {
     // Cold process: compute, persist.
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto lu = serve::cached_lu(cache, solver.collocation());
-    ASSERT_NE(lu, nullptr);
+    serve::memoize_lu(cache, solver.collocation());
+    cold_weights = serve::cached_rbffd_weights(cache, ops, lap)->values();
     const OperatorCache::Stats s = cache.stats();
-    EXPECT_EQ(s.disk.writes, 1u);
+    EXPECT_EQ(s.disk.writes, 2u);
     EXPECT_EQ(s.disk.hits, 0u);
-    cold = lu->solve(la::Vector(solver.collocation().system_size(), 1.0));
+    cold = solver.collocation().lu().solve(
+        la::Vector(solver.collocation().system_size(), 1.0));
   }
   {
     // Warm restart: a NEW cache instance over the same directory must serve
-    // the factorisation from disk, not refactor, and the artefact must be
-    // bitwise identical.
+    // the factorisation and the weights from disk, not recompute, and the
+    // artefacts must be bitwise identical.
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto lu = serve::cached_lu(cache, solver.collocation());
-    ASSERT_NE(lu, nullptr);
+    serve::memoize_lu(cache, solver.collocation());
+    const auto w = serve::cached_rbffd_weights(cache, ops, lap);
+    EXPECT_EQ(w->values(), cold_weights);
     const OperatorCache::Stats s = cache.stats();
-    EXPECT_EQ(s.disk.hits, 1u);
+    EXPECT_EQ(s.disk.hits, 2u);
     EXPECT_EQ(s.disk.writes, 0u);
-    warm = lu->solve(la::Vector(solver.collocation().system_size(), 1.0));
+    warm = solver.collocation().lu().solve(
+        la::Vector(solver.collocation().system_size(), 1.0));
 
-    // Promoted into the in-memory LRU: the next lookup never touches disk.
-    (void)serve::cached_lu(cache, solver.collocation());
-    EXPECT_EQ(cache.stats().disk.hits, 1u);
+    // The weights were promoted into memory: the next lookup never touches
+    // disk.
+    EXPECT_EQ(serve::cached_rbffd_weights(cache, ops, lap).get(), w.get());
+    EXPECT_EQ(cache.stats().disk.hits, 2u);
     EXPECT_EQ(cache.stats().hits, 1u);
   }
   ASSERT_EQ(cold.size(), warm.size());
@@ -759,8 +884,9 @@ TEST(DiskCache, CorruptEntryIsRejectedDeletedAndRecomputed) {
   {
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto lu = serve::cached_lu(cache, solver.collocation());
-    cold = lu->solve(la::Vector(solver.collocation().system_size(), 1.0));
+    serve::memoize_lu(cache, solver.collocation());
+    cold = solver.collocation().lu().solve(
+        la::Vector(solver.collocation().system_size(), 1.0));
     for (const auto& e : std::filesystem::directory_iterator(dir))
       entry_path = e.path().string();
   }
@@ -786,14 +912,13 @@ TEST(DiskCache, CorruptEntryIsRejectedDeletedAndRecomputed) {
   {
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto lu = serve::cached_lu(cache, solver.collocation());
-    ASSERT_NE(lu, nullptr);
+    serve::memoize_lu(cache, solver.collocation());
     const OperatorCache::Stats s = cache.stats();
     EXPECT_EQ(s.disk.corrupt, 1u);  // rejected, never trusted
     EXPECT_EQ(s.disk.hits, 0u);
     EXPECT_EQ(s.disk.writes, 1u);   // recomputed and re-persisted
-    recomputed =
-        lu->solve(la::Vector(solver.collocation().system_size(), 1.0));
+    recomputed = solver.collocation().lu().solve(
+        la::Vector(solver.collocation().system_size(), 1.0));
   }
   for (std::size_t i = 0; i < cold.size(); ++i)
     EXPECT_EQ(cold[i], recomputed[i]);
@@ -806,14 +931,14 @@ TEST_F(ServeRetryTest, InjectedCorruptionFaultForcesChecksumReject) {
   {
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    (void)serve::cached_lu(cache, solver.collocation());
+    serve::memoize_lu(cache, solver.collocation());
   }
   fault::arm("serve.cache_disk_corrupt", 1);
   {
     pde::LaplaceSolver solver(6, kernel);
     OperatorCache cache(std::size_t{64} << 20, dir);
-    const auto lu = serve::cached_lu(cache, solver.collocation());
-    ASSERT_NE(lu, nullptr);  // recomputed under the injected rot
+    serve::memoize_lu(cache, solver.collocation());
+    EXPECT_TRUE(solver.collocation().lu().valid());  // refactored under rot
     EXPECT_EQ(cache.stats().disk.corrupt, 1u);
   }
   std::filesystem::remove_all(dir);
@@ -823,17 +948,23 @@ TEST_F(ServeRetryTest, DiskWriteFaultDegradesToMemoryOnlyServing) {
   const std::string dir = fresh_cache_dir("wfault");
   const rbf::PolyharmonicSpline kernel(3);
   pde::LaplaceSolver solver(6, kernel);
+  const pc::PointCloud cloud = pc::unit_square_grid(6, 6);
+  const rbf::RbffdOperators ops(cloud, kernel);
+  const rbf::LinearOp lap = rbf::LinearOp::laplacian();
   OperatorCache cache(std::size_t{64} << 20, dir);
-  fault::arm("serve.cache_disk_write", 1);
+  fault::arm("serve.cache_disk_write", 2);
 
-  const auto lu = serve::cached_lu(cache, solver.collocation());
-  ASSERT_NE(lu, nullptr);  // the artefact itself is unaffected
+  // The artefacts themselves are unaffected by the failed writes.
+  serve::memoize_lu(cache, solver.collocation());
+  EXPECT_TRUE(solver.collocation().lu().valid());
+  const auto w = serve::cached_rbffd_weights(cache, ops, lap);
+  ASSERT_NE(w, nullptr);
   const OperatorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.disk.errors, 1u);
+  EXPECT_EQ(s.disk.errors, 2u);
   EXPECT_EQ(s.disk.writes, 0u);
   EXPECT_TRUE(std::filesystem::is_empty(dir));  // nothing half-written
-  // The in-memory tier still serves it.
-  (void)serve::cached_lu(cache, solver.collocation());
+  // The in-memory tier still serves the weights.
+  EXPECT_EQ(serve::cached_rbffd_weights(cache, ops, lap).get(), w.get());
   EXPECT_EQ(cache.stats().hits, 1u);
   std::filesystem::remove_all(dir);
 }
@@ -847,7 +978,8 @@ TEST(DiskCache, UnusableDirectoryDisablesPersistenceNotServing) {
   EXPECT_TRUE(cache.disk() == nullptr || !cache.disk()->enabled());
   const rbf::PolyharmonicSpline kernel(3);
   pde::LaplaceSolver solver(6, kernel);
-  EXPECT_NE(serve::cached_lu(cache, solver.collocation()), nullptr);
+  serve::memoize_lu(cache, solver.collocation());
+  EXPECT_TRUE(solver.collocation().lu().valid());
   std::remove(file.c_str());
 }
 

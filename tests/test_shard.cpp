@@ -1,6 +1,6 @@
 /// \file test_shard.cpp
 /// \brief Sharded multi-process serving: wire codec, fingerprint routing,
-///        async completion streaming, cancel/deadline across the process
+///        async submit, cancel/deadline across the process
 ///        boundary, crash resubmission and cross-process stats aggregation.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -448,10 +447,10 @@ TEST(SchedulerShardMode, AsyncSubmitStreamsCompletions) {
   serve::SchedulerOptions options;
   options.shards = 2;
   serve::Scheduler scheduler(options);
-  std::set<serve::Scheduler::JobId> submitted;
+  std::vector<serve::Scheduler::JobId> submitted;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 6; ++i)
-    submitted.insert(scheduler.submit(
+    submitted.push_back(scheduler.submit(
         small_scenario("async-" + std::to_string(i), 6 + i % 2, i)));
   const double submit_ms =
       std::chrono::duration<double, std::milli>(
@@ -459,16 +458,12 @@ TEST(SchedulerShardMode, AsyncSubmitStreamsCompletions) {
           .count();
   EXPECT_LT(submit_ms, 1000.0) << "submit must not wait for results";
 
-  std::set<serve::Scheduler::JobId> streamed;
-  while (auto next = scheduler.next_completed()) {
-    EXPECT_TRUE(submitted.count(next->first));
-    EXPECT_TRUE(streamed.insert(next->first).second)
-        << "job streamed twice";
-    EXPECT_EQ(next->second.status, JobStatus::kSucceeded)
-        << next->second.error;
+  for (std::size_t i = 0; i < submitted.size(); ++i) {
+    const JobReport report = scheduler.wait(submitted[i]);
+    EXPECT_EQ(report.id, "async-" + std::to_string(i));
+    EXPECT_EQ(report.status, JobStatus::kSucceeded) << report.error;
+    EXPECT_EQ(scheduler.status(submitted[i]), JobStatus::kSucceeded);
   }
-  EXPECT_EQ(streamed, submitted);
-  EXPECT_FALSE(scheduler.try_next_completed().has_value());
   EXPECT_EQ(scheduler.shard_count(), 2u);
 }
 
